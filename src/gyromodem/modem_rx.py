@@ -1,5 +1,5 @@
-"""Sliding-window FFT demodulator: preamble search, axis selection,
-majority-vote bit decisions, parity validation."""
+"""Batch demodulator: B-FSK preamble search and majority-vote bits, M-FSK
+energy onset and probe-matrix matched filter, parity validation."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
@@ -188,20 +188,6 @@ def _sync_candidate(decisions: np.ndarray, magnitudes: np.ndarray,
     return best
 
 
-def detect_sync(decisions: np.ndarray, magnitudes: np.ndarray, floors: np.ndarray,
-                centers: np.ndarray, end_idx: int, cfg: DemodConfig,
-                ) -> Tuple[bool, List[int], float]:
-    """Look for the `1010` preamble ending at window end_idx.
-
-    decisions/magnitudes hold per-stream window data; returns (found,
-    matching stream indices, preamble start time)."""
-    score, t0, matched = _sync_candidate(decisions, magnitudes, floors,
-                                         centers, end_idx, cfg)
-    if not matched:
-        return False, [], 0.0
-    return True, matched, t0
-
-
 def _binary_demod(mags: np.ndarray, floors: np.ndarray, centers: np.ndarray,
                   cfg: DemodConfig, trace: GyroTrace) -> RxReport:
     report = RxReport()
@@ -250,9 +236,20 @@ def _binary_demod(mags: np.ndarray, floors: np.ndarray, centers: np.ndarray,
     return report
 
 
-def _goertzel_energy(x: np.ndarray, freq: float, rate: float) -> float:
-    n = np.arange(len(x))
-    return float(np.abs(np.dot(x, np.exp(-2j * np.pi * freq * n / rate))) ** 2)
+def _tone_probe(g_freqs: Sequence[float], rate: float, n: int) -> np.ndarray:
+    """Matched-filter probe, shape (n, M): exp(-2j*pi*g*k/rate), k < n."""
+    return np.exp(-2j * np.pi * np.asarray(g_freqs) * np.arange(n)[:, None] / rate)
+
+
+def _tone_energies(streams: np.ndarray, start: int, stop: int,
+                   probe: np.ndarray) -> np.ndarray:
+    """Noncoherent matched-filter energy of every tone on every stream over
+    samples [start, stop), phase-referenced to start; shape (n_streams, M).
+    probe comes from _tone_probe and has at least stop - start rows."""
+    # numpy runs real @ complex outside BLAS; a real matmul with the probe's
+    # interleaved (re, im) view, read back as complex, is the same sum
+    re_im = streams[:, start:stop] @ probe[:stop - start].view(np.float64)
+    return np.abs(re_im.view(np.complex128)) ** 2
 
 
 def _mary_demod(streams: np.ndarray, mags: np.ndarray, floors: np.ndarray,
@@ -274,7 +271,9 @@ def _mary_demod(streams: np.ndarray, mags: np.ndarray, floors: np.ndarray,
     thresh = max(gate, 0.1 * float(np.median(hot))) if len(hot) else gate
     active = pmax > thresh
     rate = cfg.sample_rate
-    axes = [i for i in range(3)]  # x, y, z sample streams
+    # long enough for any symbol slot after rounding its ends to samples
+    probe = _tone_probe(cfg.g_freqs, rate,
+                        int(np.ceil(cfg.symbol_time * rate)) + 1)
     k = 0
     n_win = len(centers)
     while k < n_win:
@@ -290,24 +289,24 @@ def _mary_demod(streams: np.ndarray, mags: np.ndarray, floors: np.ndarray,
             report.diagnostics.append(
                 f"frame at t={t0:.3f}s truncated by end of trace")
             break
-        # refine onset over a small grid of window hops
-        best_t0, best_e = t0, -1.0
-        for delta in range(-5, 4):
-            cand = t0 + delta * cfg.hop / rate
-            e = _frame_matched_energy(streams, cand, n_symbols, cfg, axes)
+        # refine onset over a grid of window hops; noise ahead of the frame
+        # can fire the onset many hops early, so keep stepping forward while
+        # the best candidate is the last one tried
+        best_delta, best_e, delta = 0, -1.0, -5
+        while delta <= 3 or best_delta == delta - 1:
+            e = _frame_matched_energy(streams, t0 + delta * cfg.hop / rate,
+                                      n_symbols, cfg, probe)
             if e > best_e:
-                best_e, best_t0 = e, cand
+                best_delta, best_e = delta, e
+            delta += 1
+        best_t0 = t0 + best_delta * cfg.hop / rate
         symbols = []
         for s in range(n_symbols):
             start = int(round((best_t0 + s * cfg.symbol_time) * rate))
             stop = int(round((best_t0 + (s + 1) * cfg.symbol_time) * rate))
             start = max(start, 0)
             stop = min(stop, streams.shape[1])
-            energies = np.zeros(cfg.order)
-            for ax in axes:
-                seg = streams[ax, start:stop]
-                for m, g in enumerate(cfg.g_freqs):
-                    energies[m] += _goertzel_energy(seg, g, rate)
+            energies = _tone_energies(streams, start, stop, probe).sum(axis=0)
             symbols.append(int(np.argmax(energies)))
         bits: List[int] = []
         for sym in symbols:
@@ -320,7 +319,9 @@ def _mary_demod(streams: np.ndarray, mags: np.ndarray, floors: np.ndarray,
 
 
 def _frame_matched_energy(streams: np.ndarray, t0: float, n_symbols: int,
-                          cfg: DemodConfig, axes: Sequence[int]) -> float:
+                          cfg: DemodConfig, probe: np.ndarray) -> float:
+    """Sum over symbol slots of the strongest tone on the strongest stream;
+    -1 when a slot falls outside the trace."""
     rate = cfg.sample_rate
     total = 0.0
     for s in range(n_symbols):
@@ -328,12 +329,7 @@ def _frame_matched_energy(streams: np.ndarray, t0: float, n_symbols: int,
         stop = int(round((t0 + (s + 1) * cfg.symbol_time) * rate))
         if start < 0 or stop > streams.shape[1]:
             return -1.0
-        best = 0.0
-        for ax in axes:
-            seg = streams[ax, start:stop]
-            best = max(best, max(_goertzel_energy(seg, g, rate)
-                                 for g in cfg.g_freqs))
-        total += best
+        total += float(_tone_energies(streams, start, stop, probe).max())
     return total
 
 

@@ -1,18 +1,23 @@
-"""Streaming demodulator: sync detection, bit decisions, SNR estimation."""
+"""Batch demodulator: sync detection, M-FSK matched filter, bit decisions,
+SNR estimation."""
 
 import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gyromodem import modem_tx
 from gyromodem.channel import ChannelCondition, GyroTrace, apply_channel, get_profile
 from gyromodem.harness import demod_config_for
 from gyromodem.modem_rx import (
     DemodConfig,
+    _sync_candidate,
+    _tone_energies,
+    _tone_probe,
     decide_bit,
     demodulate_stream,
-    detect_sync,
     measure_snr,
 )
 from gyromodem.sigcore import Waveform
@@ -101,6 +106,55 @@ class TestDemodulateStream:
         assert [f.payload for f in report.frames] == payloads
         assert all(f.parity_valid for f in report.frames)
 
+    @pytest.mark.parametrize("snr_db", [18, 10])
+    def test_mary_onset_not_early(self, snr_db):
+        # noise in the lead-in padding can fire the onset near t = 0, several
+        # hops ahead of the frame; refinement must still land on the frame
+        prof = get_profile("s10_mfsk")
+        tones = modem_tx.uniform_tones(19000.0, 19105.0, 32)
+        fsk = modem_tx.FskConfig(tone_freqs=tones, bit_time=0.7)
+        rx = demod_config_for(prof, fsk)
+        hop_s = rx.hop / rx.sample_rate
+        w = modem_tx.transmit_frames([PAYLOAD], fsk, gap=0.0)
+        clean = demodulate_stream(apply_channel(w, prof, ChannelCondition()), rx)
+        onset = clean.frames[0].start_time
+        for seed in range(3):
+            trace = apply_channel(w, prof, ChannelCondition(snr_db=snr_db,
+                                                            noise_seed=seed))
+            frame = demodulate_stream(trace, rx).frames[0]
+            assert abs(frame.start_time - onset) <= hop_s + 1e-9
+            assert frame.payload == PAYLOAD
+
+
+def goertzel_reference(x, freq, rate):
+    """Single-tone matched-filter energy, one tone at a time."""
+    n = np.arange(len(x))
+    return float(np.abs(np.dot(x, np.exp(-2j * np.pi * freq * n / rate))) ** 2)
+
+
+class TestToneEnergies:
+    @settings(max_examples=25, deadline=None)
+    @given(order_log2=st.integers(1, 5),
+           rate=st.integers(50, 2000),
+           symbol_len=st.integers(1, 600),
+           seg_frac=st.floats(0.0, 1.0),
+           start=st.integers(0, 200),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_probe_matches_goertzel(self, order_log2, rate, symbol_len,
+                                    seg_frac, start, seed):
+        rng = np.random.default_rng(seed)
+        g = np.sort(rng.uniform(0.0, rate / 2, 2 ** order_log2))
+        probe = _tone_probe(g, rate, symbol_len + 1)
+        # any length up to the probe's, whole symbols or not
+        length = 1 + int(seg_frac * symbol_len)
+        streams = rng.standard_normal((3, start + length + 50))
+        got = _tone_energies(streams, start, start + length, probe)
+        want = np.array([[goertzel_reference(row[start:start + length], f, rate)
+                          for f in g] for row in streams])
+        # rounding error is absolute, on the scale of the Parseval bound
+        scale = length * float((streams[:, start:start + length] ** 2).sum())
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-13 * scale)
+
 
 def synthetic_sync_inputs(flip_per_bit=0):
     """Clean `1010` preamble with 8 windows per bit on stream 0."""
@@ -124,19 +178,20 @@ def synthetic_sync_inputs(flip_per_bit=0):
 
 class TestDetectSync:
     def test_clean_preamble_found(self):
-        found, streams, t0 = detect_sync(*synthetic_sync_inputs())
-        assert found and streams == [0]
+        score, t0, streams = _sync_candidate(*synthetic_sync_inputs())
+        assert streams == [0] and score > 0
         assert t0 == pytest.approx(0.128, abs=0.2)
 
     def test_all_zero_not_found(self):
         decisions, mags, floors, centers, end, cfg = synthetic_sync_inputs()
         decisions[:] = 0
-        found, streams, _ = detect_sync(decisions, mags, floors, centers, end, cfg)
-        assert not found and streams == []
+        score, _, streams = _sync_candidate(decisions, mags, floors, centers,
+                                            end, cfg)
+        assert score == 0 and streams == []
 
     def test_one_flip_per_bit_still_found(self):
-        found, streams, _ = detect_sync(*synthetic_sync_inputs(flip_per_bit=1))
-        assert found and streams == [0]
+        score, _, streams = _sync_candidate(*synthetic_sync_inputs(flip_per_bit=1))
+        assert streams == [0] and score > 0
 
 
 class TestDecideBit:
