@@ -8,7 +8,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .sigcore import GyroTrace, stft
+from .sigcore import GyroTrace, frame_spectra
 
 DEFAULT_THRESHOLD_DB = 10.0
 
@@ -41,11 +41,11 @@ def find_resonance_band(trace: GyroTrace, scan: Tuple[float, float, float],
     energy = None
     for ax in range(3):
         x = trace.data[:, ax]
-        spec = stft(x - x.mean(), fft_size, noverlap, window="rect",
-                    sample_rate=rate, detrend=True)
-        p = (spec.magnitudes[:, 1:] ** 2).sum(axis=1)  # skip DC
+        mag = np.abs(frame_spectra(x - x.mean(), fft_size, noverlap))
+        p = (mag[:, 1:] ** 2).sum(axis=1)  # skip DC
         energy = p if energy is None else energy + p
-        times = spec.times + fft_size / (2 * rate)  # frame centers
+    # frame centers
+    times = (fft_size - noverlap) * np.arange(len(energy)) / rate + fft_size / (2 * rate)
     chirp_rate = (f_end - f_start) / duration
     freqs = f_start + chirp_rate * (times - chirp_start)
     floor = float(np.median(energy))

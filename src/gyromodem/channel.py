@@ -22,8 +22,8 @@ import numpy as np
 from scipy import ndimage
 from scipy import signal as sps
 
-from .sigcore import (DEFAULT_GYRO_RATE, GyroTrace, Waveform, bin_index,
-                      tone_snr_db)
+from .sigcore import (DEFAULT_GYRO_RATE, GyroTrace, Waveform, active_snr_db,
+                      bin_index, frame_spectra, tone_power)
 
 # Critical in-band drive level past which the MEMS resonance response
 # collapses. Units are complex-envelope acoustic amplitude: a full-scale
@@ -267,42 +267,18 @@ def _calibrate_sigma(clean: np.ndarray, unit_noise: np.ndarray,
     g_freqs = _fsk_gyro_freqs(profile)
     axes = [ax for ax in range(3) if profile.axis_weights[ax] > 0]
 
-    # the estimator's STFT is linear in its input, so precompute the complex
-    # spectra of the clean signal and the unit noise once and evaluate every
-    # candidate sigma without another FFT
+    # the estimator's spectra are linear in their input, so precompute the
+    # clean and unit-noise spectra once and evaluate every candidate sigma
+    # without another FFT
     fft_size, noverlap = 128, 96
-    hop = fft_size - noverlap
-    if len(clean) < fft_size:
-        raise ChannelError("trace shorter than one SNR analysis window")
-    n_frames = (len(clean) - fft_size) // hop + 1
-    idx = np.arange(fft_size)[None, :] + hop * np.arange(n_frames)[:, None]
-
-    def cspec(x: np.ndarray) -> np.ndarray:
-        frames = x[idx]
-        frames = frames - frames.mean(axis=1, keepdims=True)
-        return np.fft.rfft(frames, axis=1)
-
-    spec_pairs = [(cspec(clean[:, ax]), cspec(unit_noise[:, ax]))
+    gbins = [bin_index(f, fft_size, gyro_rate) for f in g_freqs]
+    spec_pairs = [(frame_spectra(clean[:, ax], fft_size, noverlap),
+                   frame_spectra(unit_noise[:, ax], fft_size, noverlap))
                   for ax in axes]
-    gbins = sorted({bin_index(f, fft_size, gyro_rate) for f in g_freqs})
-    excluded = {b + d for b in gbins for d in (-2, -1, 0, 1, 2)} | {0, 1}
-    n_bins = fft_size // 2 + 1
-    noise_bins = [b for b in range(n_bins) if b not in excluded]
 
     def measured(sigma: float) -> float:
-        best = float("-inf")
-        for sc, sn in spec_pairs:
-            power = np.abs(sc + sigma * sn) ** 2
-            floor = float(np.median(power[:, noise_bins]))
-            p_sig = power[:, gbins].max(axis=1)
-            if floor <= 0.0:
-                best = max(best, float("inf") if p_sig.max() > 0 else float("-inf"))
-                continue
-            active = p_sig >= 4.0 * floor
-            if not np.any(active):
-                active = slice(None)
-            best = max(best, float(10.0 * np.log10(np.mean(p_sig[active]) / floor)))
-        return best
+        return max(active_snr_db(*tone_power(np.abs(sc + sigma * sn) ** 2, gbins))
+                   for sc, sn in spec_pairs)
 
     rms = float(np.sqrt(np.mean(clean[:, axes[0]] ** 2)))
     if rms <= 1e-12:
@@ -310,15 +286,17 @@ def _calibrate_sigma(clean: np.ndarray, unit_noise: np.ndarray,
         ref = 0.2 * profile.response_amplitude * max(profile.axis_weights)
         return ref / 10 ** (snr_db / 20.0)
     lo, hi = rms * 1e-9, rms * 1e4
-    if measured(lo) < snr_db:
+    ceiling = measured(lo)
+    if ceiling < snr_db:
         warnings.warn(
             f"requested SNR {snr_db} dB above the noiseless ceiling "
-            f"({measured(lo):.1f} dB); output is leakage-limited")
+            f"({ceiling:.1f} dB); output is leakage-limited")
         return lo
-    if measured(hi) > snr_db:
+    floor_db = measured(hi)
+    if floor_db > snr_db:
         warnings.warn(
             f"requested SNR {snr_db} dB below the estimator floor "
-            f"({measured(hi):.1f} dB); returning the noisiest channel")
+            f"({floor_db:.1f} dB); returning the noisiest channel")
         return hi
     for _ in range(48):
         mid = np.sqrt(lo * hi)

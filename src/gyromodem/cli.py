@@ -9,7 +9,7 @@ import numpy as np
 
 from . import calibration, channel, countermeasure, framing, harness, modem_rx, modem_tx
 from .channel import ChannelCondition, apply_channel, get_preset, get_profile
-from .modem_tx import FskConfig, export_wav, import_wav, transmit_frames
+from .modem_tx import export_wav, import_wav, transmit_frames
 from .sigcore import DEFAULT_AUDIO_RATE, generate_chirp
 
 
@@ -25,18 +25,17 @@ def _parse_payloads(args) -> list:
     raise ValueError("one of --text or --payload is required")
 
 
-def _fsk_from_args(args, profile) -> FskConfig:
-    if args.order == 2:
-        tones = profile.fsk_pair
-    else:
-        tones = modem_tx.uniform_tones(args.band[0], args.band[1], args.order)
-    return FskConfig(tone_freqs=tones, bit_time=args.bit_time,
-                     amplitude=args.amplitude)
+def _experiment_config(args) -> harness.ExperimentConfig:
+    """The modulation flags as the harness's config, so both pick tones alike."""
+    return harness.ExperimentConfig(
+        profile=args.profile, modulation="bfsk" if args.order == 2 else "mfsk",
+        order=args.order, bit_time=args.bit_time, amplitude=args.amplitude,
+        mfsk_band=tuple(args.band))
 
 
 def cmd_transmit(args) -> int:
     profile = get_profile(args.profile, args.profile_dir)
-    fsk = _fsk_from_args(args, profile)
+    fsk = harness.fsk_config_for(profile, _experiment_config(args))
     wave = transmit_frames(_parse_payloads(args), fsk, gap=args.gap,
                            sample_rate=args.sample_rate)
     if args.filter_cutoff:
@@ -66,7 +65,7 @@ def cmd_simulate(args) -> int:
 def cmd_receive(args) -> int:
     profile = get_profile(args.profile, args.profile_dir)
     trace = channel.read_trace_csv(args.trace)
-    fsk = _fsk_from_args(args, profile)
+    fsk = harness.fsk_config_for(profile, _experiment_config(args))
     rxcfg = harness.demod_config_for(profile, fsk)
     report = modem_rx.demodulate_stream(trace, rxcfg)
     modem_rx.report_to_csv(report, args.out)

@@ -1,7 +1,7 @@
 """Link-layer framing: 4-bit sync preamble, 12-bit payload, 1 parity bit."""
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 SYNC_PATTERN = (1, 0, 1, 0)
 PAYLOAD_BITS = 12
@@ -50,19 +50,6 @@ def bytes_to_bits(data: bytes) -> List[int]:
     for byte in data:
         out.extend((byte >> (7 - i)) & 1 for i in range(8))
     return out
-
-
-def bits_to_bytes(bits: Iterable[int]) -> bytes:
-    """MSB-first packing; a trailing partial byte is zero-padded."""
-    bits = list(bits)
-    out = bytearray()
-    for i in range(0, len(bits), 8):
-        chunk = bits[i:i + 8] + [0] * (8 - len(bits[i:i + 8]))
-        byte = 0
-        for b in chunk:
-            byte = (byte << 1) | (int(b) & 1)
-        out.append(byte)
-    return bytes(out)
 
 
 def segment_payloads(data: bytes) -> List[Tuple[int, ...]]:

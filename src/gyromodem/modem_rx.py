@@ -9,7 +9,8 @@ import numpy as np
 
 from . import framing
 from .sigcore import (DEFAULT_GYRO_RATE, ConfigError, GyroTrace, bin_index,
-                      magnitude_stream, moving_average, stft, tone_snr_db)
+                      frame_spectra, magnitude_stream, moving_average,
+                      tone_power, tone_snr_db)
 
 STREAM_NAMES = ("x", "y", "z", "mag")
 
@@ -125,16 +126,12 @@ def _streams(trace: GyroTrace, w: int) -> np.ndarray:
 
 def _window_stats(streams: np.ndarray, cfg: DemodConfig):
     """Per-stream, per-window magnitudes at the tone bins plus the noise
-    floor (median power of the remaining bins)."""
+    floor (sigcore.tone_power)."""
     mags, floors = [], []
-    noise_excl = {b + d for b in cfg.bins for d in (-2, -1, 0, 1, 2)} | {0, 1}
     for row in streams:
-        spec = stft(row, cfg.fft_size, cfg.noverlap, window="rect",
-                    sample_rate=cfg.sample_rate, detrend=True)
-        power = spec.magnitudes ** 2
-        noise_bins = [b for b in range(power.shape[1]) if b not in noise_excl]
-        floors.append(float(np.median(power[:, noise_bins])))
-        mags.append(spec.magnitudes[:, cfg.bins])
+        mag = np.abs(frame_spectra(row, cfg.fft_size, cfg.noverlap))
+        floors.append(tone_power(mag ** 2, cfg.bins)[1])
+        mags.append(mag[:, cfg.bins])
     return np.array(mags), np.array(floors)  # (4, n_win, M), (4,)
 
 

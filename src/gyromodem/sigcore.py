@@ -1,11 +1,13 @@
-"""Core DSP primitives: tone/chirp synthesis, STFT, smoothing, tone-SNR estimation.
+"""Core DSP primitives: tone/chirp synthesis, STFT, smoothing, and the one
+tone-SNR core (frame spectra, tone/floor power, active-frame dB) that the
+channel simulator, the receiver and the band sweep share.
 
 Everything here is a pure function over immutable inputs; no global state.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -56,16 +58,6 @@ class Spectrogram:
 
 
 @dataclass(frozen=True)
-class GyroSample:
-    """One 3-axis angular-velocity reading; t in microseconds, rates in rad/s."""
-
-    t: int
-    x: float
-    y: float
-    z: float
-
-
-@dataclass(frozen=True)
 class GyroTrace:
     """Timestamped 3-axis angular-velocity stream."""
 
@@ -82,6 +74,8 @@ class GyroTrace:
             raise ValueError("timestamp/data length mismatch")
         if len(t) > 1 and np.any(np.diff(t) <= 0):
             raise ValueError("timestamps must be strictly increasing")
+        if not np.all(np.isfinite(d)):
+            raise ValueError("gyro data must be finite (no NaN or inf samples)")
         object.__setattr__(self, "t_us", t)
         object.__setattr__(self, "data", d)
 
@@ -93,9 +87,6 @@ class GyroTrace:
         n = len(data)
         t = np.round(np.arange(n) * 1e6 / sample_rate).astype(np.int64)
         return cls(t_us=t, data=np.asarray(data, dtype=np.float64), sample_rate=sample_rate)
-
-    def samples(self) -> Sequence[GyroSample]:
-        return [GyroSample(int(t), *row) for t, row in zip(self.t_us, self.data)]
 
 
 def generate_sine(freq: float, duration: float, amplitude: float,
@@ -140,33 +131,31 @@ _WINDOWS = {
 }
 
 
-def stft(x: np.ndarray, fft_size: int, noverlap: int, window: str = "rect",
-         sample_rate: int = DEFAULT_AUDIO_RATE, detrend: bool = False) -> Spectrogram:
-    """Sliding-window magnitude spectra; hop = fft_size - noverlap."""
-    x = np.asarray(x, dtype=np.float64)
+def _frame_index(n: int, fft_size: int, noverlap: int) -> np.ndarray:
+    """Sample indices of every whole frame, shape (frames, fft_size);
+    hop = fft_size - noverlap."""
     if not 0 <= noverlap < fft_size:
         raise ConfigError(f"noverlap {noverlap} must be in [0, fft_size={fft_size})")
-    if len(x) < fft_size:
-        raise ConfigError(f"input of {len(x)} samples shorter than fft_size {fft_size}")
+    if n < fft_size:
+        raise ConfigError(f"input of {n} samples shorter than fft_size {fft_size}")
+    hop = fft_size - noverlap
+    n_frames = (n - fft_size) // hop + 1
+    return np.arange(fft_size)[None, :] + hop * np.arange(n_frames)[:, None]
+
+
+def stft(x: np.ndarray, fft_size: int, noverlap: int, window: str = "rect",
+         sample_rate: int = DEFAULT_AUDIO_RATE) -> Spectrogram:
+    """Sliding-window magnitude spectra; hop = fft_size - noverlap."""
+    x = np.asarray(x, dtype=np.float64)
     if window not in _WINDOWS:
         raise ConfigError(f"unknown window {window!r}; choose from {sorted(_WINDOWS)}")
-    hop = fft_size - noverlap
-    n_frames = (len(x) - fft_size) // hop + 1
-    idx = np.arange(fft_size)[None, :] + hop * np.arange(n_frames)[:, None]
-    frames = x[idx]
-    if detrend:
-        frames = frames - frames.mean(axis=1, keepdims=True)
+    frames = x[_frame_index(len(x), fft_size, noverlap)]
     taper = _WINDOWS[window](fft_size)
     mags = np.abs(np.fft.rfft(frames * taper, axis=1))
     freqs = np.fft.rfftfreq(fft_size, d=1.0 / sample_rate)
-    times = hop * np.arange(n_frames) / sample_rate
+    times = (fft_size - noverlap) * np.arange(len(frames)) / sample_rate
     return Spectrogram(magnitudes=mags, freqs=freqs, times=times,
                        fft_size=fft_size, noverlap=noverlap, sample_rate=sample_rate)
-
-
-def vector_magnitude(sample) -> float:
-    """Euclidean norm of a 3-axis reading."""
-    return float(np.sqrt(sample.x ** 2 + sample.y ** 2 + sample.z ** 2))
 
 
 def magnitude_stream(trace: GyroTrace) -> np.ndarray:
@@ -199,20 +188,27 @@ def bin_index(f: float, fft_size: int, sample_rate: int) -> int:
     return int(round(fft_size * f / sample_rate))
 
 
-def tone_snr_db(x: np.ndarray, freqs: Sequence[float], sample_rate: int,
-                fft_size: int = 128, noverlap: int = 96) -> float:
-    """Ratio (dB) of mean tone-bin power over active frames to the median
-    power of the remaining bins. Returns -inf for an all-zero stream."""
-    x = np.asarray(x, dtype=np.float64)
-    if len(x) < fft_size:
-        raise ConfigError("stream shorter than one analysis window")
-    spec = stft(x, fft_size, noverlap, window="rect", sample_rate=sample_rate, detrend=True)
-    power = spec.magnitudes ** 2
-    gbins = sorted({bin_index(f, fft_size, sample_rate) for f in freqs})
-    excluded = {b + d for b in gbins for d in (-2, -1, 0, 1, 2)} | {0, 1}
+def frame_spectra(x: np.ndarray, fft_size: int, noverlap: int) -> np.ndarray:
+    """Complex spectra of mean-removed rectangular frames, shape
+    (frames, fft_size//2 + 1); hop = fft_size - noverlap. Linear in x."""
+    frames = np.asarray(x, dtype=np.float64)[_frame_index(len(x), fft_size, noverlap)]
+    return np.fft.rfft(frames - frames.mean(axis=1, keepdims=True), axis=1)
+
+
+def tone_power(power: np.ndarray, tone_bins: Sequence[int]) -> Tuple[np.ndarray, float]:
+    """(per-frame strongest tone-bin power, noise floor) of a power matrix
+    from frame_spectra. The floor is the median power of every bin except
+    DC, bin 1 and the tone bins with two neighbours on each side."""
+    tone_bins = list(tone_bins)
+    excluded = {b + d for b in tone_bins for d in (-2, -1, 0, 1, 2)} | {0, 1}
     noise_bins = [b for b in range(power.shape[1]) if b not in excluded]
-    floor = float(np.median(power[:, noise_bins]))
-    p_sig = power[:, gbins].max(axis=1)
+    return power[:, tone_bins].max(axis=1), float(np.median(power[:, noise_bins]))
+
+
+def active_snr_db(p_sig: np.ndarray, floor: float) -> float:
+    """Ratio (dB) of the mean tone power over active frames to the floor. A
+    frame is active when its tone power is at least 4x the floor; when no
+    frame is, all count. -inf for silence, inf for a tone over a zero floor."""
     if floor <= 0.0:
         if p_sig.max() <= 0.0:
             return float("-inf")
@@ -221,3 +217,11 @@ def tone_snr_db(x: np.ndarray, freqs: Sequence[float], sample_rate: int,
     if not np.any(active):
         active = slice(None)
     return float(10.0 * np.log10(np.mean(p_sig[active]) / floor))
+
+
+def tone_snr_db(x: np.ndarray, freqs: Sequence[float], sample_rate: int,
+                fft_size: int = 128, noverlap: int = 96) -> float:
+    """Tone-bin SNR (dB) of one stream; see tone_power and active_snr_db."""
+    bins = [bin_index(f, fft_size, sample_rate) for f in freqs]
+    power = np.abs(frame_spectra(x, fft_size, noverlap)) ** 2
+    return active_snr_db(*tone_power(power, bins))

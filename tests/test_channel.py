@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gyromodem import modem_rx, modem_tx
 from gyromodem.channel import (
@@ -24,7 +26,7 @@ from gyromodem.channel import (
     write_trace_csv,
 )
 from gyromodem.harness import demod_config_for
-from gyromodem.sigcore import Waveform, generate_sine
+from gyromodem.sigcore import Waveform, frame_spectra, generate_sine, tone_power
 
 S10 = get_profile("s10")
 S9 = get_profile("s9")
@@ -139,6 +141,28 @@ class TestApplyChannel:
         assert abs(m_tone - m_noise) <= 3.0
 
 
+class TestCalibrateSigma:
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(128, 3000),
+           log_sigma=st.floats(-6.0, 3.0),
+           bins=st.lists(st.integers(0, 64), min_size=1, max_size=4),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_linear_spectra_match_materialised(self, n, log_sigma, bins, seed):
+        # _calibrate_sigma scores each sigma on spec(clean) + sigma*spec(noise)
+        rng = np.random.default_rng(seed)
+        clean, noise = rng.standard_normal((2, n))
+        sigma = 10.0 ** log_sigma
+        fast = np.abs(frame_spectra(clean, 128, 96)
+                      + sigma * frame_spectra(noise, 128, 96)) ** 2
+        ref = np.abs(frame_spectra(clean + sigma * noise, 128, 96)) ** 2
+        (fast_sig, fast_floor), (ref_sig, ref_floor) = (
+            tone_power(fast, bins), tone_power(ref, bins))
+        # rounding error is absolute, on the scale of the strongest bin
+        atol = 1e-12 * float(ref.max())
+        np.testing.assert_allclose(fast_sig, ref_sig, rtol=1e-9, atol=atol)
+        assert fast_floor == pytest.approx(ref_floor, rel=1e-9, abs=atol)
+
+
 class TestDistanceToSnr:
     def test_published_points(self):
         assert distance_to_snr(get_preset("s9", "open"), 200) == 25.0
@@ -193,6 +217,12 @@ class TestSerialization:
         back = read_trace_csv(path)
         assert np.array_equal(back.t_us, trace.t_us)
         assert np.allclose(back.data, trace.data, atol=1e-9)
+
+    def test_nan_cell_rejected(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_text("t_us,x,y,z\n0,0.1,0.2,0.3\n2000,nan,0.2,0.3\n")
+        with pytest.raises(ValueError, match="finite"):
+            read_trace_csv(path)
 
     def test_profile_json_round_trip(self, tmp_path):
         doc = profile_to_dict(S9)

@@ -50,6 +50,20 @@ class TestPipeline:
         assert fields[1] == "010000010000"
         assert fields[2].lower() in ("true", "1")
 
+    def test_mfsk32_round_trip(self, tmp_path):
+        wav = tmp_path / "a.wav"
+        trace = tmp_path / "trace.csv"
+        report = tmp_path / "report.csv"
+        mod = ("--profile", "s10_mfsk", "--order", "32", "--band", "19000", "19105")
+        assert run("transmit", *mod, "--payload", "101100111000", "--out", wav) == 0
+        assert run("simulate", "--profile", "s10_mfsk", "--wav", wav,
+                   "--out", trace) == 0
+        assert run("receive", *mod, "--trace", trace, "--out", report) == 0
+        rows = [l for l in report.read_text().splitlines()[1:] if l.strip()]
+        assert len(rows) == 1
+        fields = rows[0].split(",")
+        assert fields[1] == "101100111000" and fields[2] == "1"
+
     def test_distance_preset_path(self, tmp_path):
         wav = tmp_path / "a.wav"
         trace = tmp_path / "trace.csv"

@@ -5,14 +5,14 @@ import pytest
 
 from gyromodem.sigcore import (
     FrequencyRangeError,
-    GyroSample,
+    GyroTrace,
     Waveform,
     bin_index,
     generate_chirp,
     generate_sine,
+    magnitude_stream,
     moving_average,
     stft,
-    vector_magnitude,
 )
 
 
@@ -100,17 +100,19 @@ class TestStft:
 
 class TestVectorMagnitude:
     def test_zero(self):
-        assert vector_magnitude(GyroSample(t=0, x=0.0, y=0.0, z=0.0)) == 0.0
+        trace = GyroTrace.from_axes(np.zeros((1, 3)))
+        assert magnitude_stream(trace)[0] == 0.0
 
     def test_pythagorean(self):
-        assert vector_magnitude(GyroSample(t=0, x=3.0, y=4.0, z=0.0)) == 5.0
+        trace = GyroTrace.from_axes(np.array([[3.0, 4.0, 0.0]]))
+        assert magnitude_stream(trace)[0] == 5.0
 
     def test_injected_sinusoid_drives_magnitude(self):
         t = np.arange(2000) / 500.0
         x = 0.10 * np.sin(2 * np.pi * 65 * t)
         y = 0.07 * np.sin(2 * np.pi * 65 * t)
-        mags = np.array([vector_magnitude(GyroSample(t=0, x=a, y=b, z=0.0))
-                         for a, b in zip(x, y)])
+        mags = magnitude_stream(
+            GyroTrace.from_axes(np.column_stack([x, y, np.zeros_like(x)])))
         # the magnitude of an in-phase pair is a rectified sine whose
         # fundamental sits at twice the injected frequency
         spec = stft(mags - mags.mean(), 500, 0, sample_rate=500)
@@ -151,6 +153,15 @@ class TestBinIndex:
     def test_out_of_band_rejected(self):
         with pytest.raises(FrequencyRangeError):
             bin_index(300.0, 128, 500)
+
+
+class TestGyroTrace:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sample_rejected(self, bad):
+        data = np.zeros((4, 3))
+        data[2, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            GyroTrace.from_axes(data)
 
 
 class TestWaveform:
