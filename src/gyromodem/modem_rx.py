@@ -151,37 +151,43 @@ def _sync_candidate(decisions: np.ndarray, magnitudes: np.ndarray,
     t_end = centers[end_idx]
     t0 = t_end - pre_dur + cfg.hop / cfg.sample_rate
     best: Tuple[float, float, List[int]] = (0.0, t0, [])
-    for delta in (-2, -1, 0, 1, 2):
-        cand_t0 = t0 + delta * cfg.hop / cfg.sample_rate
+    pattern = np.array(framing.SYNC_PATTERN)
+    # the five candidate starts (rows) by the four preamble slots (columns);
+    # centers ascend, so each slot's windows (_slot_windows) are the run
+    # [first centre >= lo, first centre >= lo + bit_time), cut at end_idx
+    cand_t0 = t0 + np.arange(-2, 3) * cfg.hop / cfg.sample_rate
+    lo = cand_t0[:, None] + np.arange(len(pattern)) * cfg.bit_time
+    first = np.searchsorted(centers, lo)
+    stop = np.minimum(np.searchsorted(centers, lo + cfg.bit_time), end_idx + 1)
+    n = np.maximum(stop - first, 0)
+    # windows deciding 1 in each run, from a running count per stream
+    ones_before = np.zeros((decisions.shape[0], decisions.shape[1] + 1), dtype=np.int64)
+    np.cumsum(decisions, axis=1, out=ones_before[:, 1:])
+    ones = ones_before[:, stop] - ones_before[:, first]  # (streams, 5, 4)
+    agree = np.where(pattern == 1, ones, n - ones) / np.maximum(n, 1)
+    # a stream must agree at the threshold in every slot, and every slot
+    # must hold a window
+    ok = (agree >= cfg.sync_threshold).all(axis=2) & (n > 0).all(axis=1)
+    score = agree[..., 0]
+    for slot in range(1, len(pattern)):
+        score = score + agree[..., slot]
+    for c in range(len(cand_t0)):
+        if not ok[:, c].any():
+            continue
+        # energy gate: the preamble must actually stand out of the noise
+        span = np.nonzero((centers >= cand_t0[c]) &
+                          (centers < cand_t0[c] + pre_dur))[0]
         matched, score_total = [], 0.0
-        for s in range(decisions.shape[0]):
-            score = 0.0
-            ok = True
-            for slot, want in enumerate(framing.SYNC_PATTERN):
-                idx = _slot_windows(cand_t0, slot, cfg.bit_time, centers)
-                idx = idx[idx <= end_idx]
-                if len(idx) == 0:
-                    ok = False
-                    break
-                agree = float(np.mean(decisions[s, idx] == want))
-                if agree < cfg.sync_threshold:
-                    ok = False
-                    break
-                score += agree
-            if not ok:
-                continue
-            # energy gate: the preamble must actually stand out of the noise
-            span = np.nonzero((centers >= cand_t0) &
-                              (centers < cand_t0 + pre_dur))[0]
+        for s in np.flatnonzero(ok[:, c]):
             p = (magnitudes[s, span].max(axis=1) ** 2).mean()
             if floors[s] > 0 and p < cfg.energy_gate * floors[s]:
                 continue
             if floors[s] <= 0 and p <= 0:
                 continue
-            matched.append(s)
-            score_total += score
+            matched.append(int(s))
+            score_total += float(score[s, c])
         if matched and score_total > best[0]:
-            best = (score_total, cand_t0, matched)
+            best = (score_total, cand_t0[c], matched)
     return best
 
 

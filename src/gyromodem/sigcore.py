@@ -7,6 +7,7 @@ Everything here is a pure function over immutable inputs; no global state.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -195,14 +196,36 @@ def frame_spectra(x: np.ndarray, fft_size: int, noverlap: int) -> np.ndarray:
     return np.fft.rfft(frames - frames.mean(axis=1, keepdims=True), axis=1)
 
 
+@lru_cache(maxsize=64)
+def _noise_bins(n_bins: int, tone_bins: Tuple[int, ...]) -> np.ndarray:
+    """Every bin except DC, bin 1 and the tone bins with two neighbours on
+    each side; cached because the channel's sigma search asks up to 150
+    times per trace."""
+    excluded = {b + d for b in tone_bins for d in (-2, -1, 0, 1, 2)} | {0, 1}
+    bins = np.array([b for b in range(n_bins) if b not in excluded], dtype=np.intp)
+    bins.flags.writeable = False
+    return bins
+
+
+def _median_inplace(x: np.ndarray) -> float:
+    """np.median of a finite, non-empty array; may reorder x. One partition
+    about the upper middle element, then the lower middle is the largest
+    value before it. np.median partitions about both middles and the end
+    (for its NaN check) and costs about four times as much."""
+    q = x.reshape(-1)
+    m = len(q) // 2
+    q.partition(m)
+    if len(q) % 2:
+        return float(q[m])
+    return float((q[:m].max() + q[m]) / 2)
+
+
 def tone_power(power: np.ndarray, tone_bins: Sequence[int]) -> Tuple[np.ndarray, float]:
     """(per-frame strongest tone-bin power, noise floor) of a power matrix
-    from frame_spectra. The floor is the median power of every bin except
-    DC, bin 1 and the tone bins with two neighbours on each side."""
-    tone_bins = list(tone_bins)
-    excluded = {b + d for b in tone_bins for d in (-2, -1, 0, 1, 2)} | {0, 1}
-    noise_bins = [b for b in range(power.shape[1]) if b not in excluded]
-    return power[:, tone_bins].max(axis=1), float(np.median(power[:, noise_bins]))
+    from frame_spectra. The floor is the median power of the _noise_bins."""
+    tone_bins = tuple(tone_bins)
+    noise = power[:, _noise_bins(power.shape[1], tone_bins)]
+    return power[:, list(tone_bins)].max(axis=1), _median_inplace(noise)
 
 
 def active_snr_db(p_sig: np.ndarray, floor: float) -> float:

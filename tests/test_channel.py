@@ -8,12 +8,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import signal as sps
 
 from gyromodem import modem_rx, modem_tx
 from gyromodem.channel import (
     ChannelCondition,
     ChannelError,
     GyroTrace,
+    _resample_complex,
     apply_channel,
     distance_to_snr,
     get_preset,
@@ -161,6 +163,22 @@ class TestCalibrateSigma:
         atol = 1e-12 * float(ref.max())
         np.testing.assert_allclose(fast_sig, ref_sig, rtol=1e-9, atol=atol)
         assert fast_floor == pytest.approx(ref_floor, rel=1e-9, abs=atol)
+
+
+class TestResampleComplex:
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(1, 4000),
+           up=st.integers(1, 5),
+           down=st.integers(1, 100),
+           pad=st.integers(0, 500),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_bit_identical_to_complex_pass(self, n, up, down, pad, seed):
+        rng = np.random.default_rng(seed)
+        # zero padding shifted like _translate's, so it carries signed zeros
+        x = np.concatenate([np.zeros(pad), rng.standard_normal(n), np.zeros(pad)])
+        z = x * np.exp(2j * np.pi * rng.uniform(-0.5, 0.5) * np.arange(len(x)))
+        got = _resample_complex(z, up, down)
+        assert got.tobytes() == sps.resample_poly(z, up, down).tobytes()
 
 
 class TestDistanceToSnr:

@@ -194,6 +194,69 @@ class TestDetectSync:
         assert streams == [0] and score > 0
 
 
+def sync_candidate_reference(decisions, magnitudes, floors, centers, end_idx, cfg):
+    """The preamble search written stream by stream and slot by slot."""
+    pre_dur = 4 * cfg.bit_time
+    t0 = centers[end_idx] - pre_dur + cfg.hop / cfg.sample_rate
+    best = (0.0, t0, [])
+    for delta in (-2, -1, 0, 1, 2):
+        cand_t0 = t0 + delta * cfg.hop / cfg.sample_rate
+        matched, score_total = [], 0.0
+        for s in range(decisions.shape[0]):
+            score, ok = 0.0, True
+            for slot, want in enumerate((1, 0, 1, 0)):
+                lo = cand_t0 + slot * cfg.bit_time
+                idx = np.nonzero((centers >= lo) & (centers < lo + cfg.bit_time))[0]
+                idx = idx[idx <= end_idx]
+                if len(idx) == 0:
+                    ok = False
+                    break
+                agree = float(np.mean(decisions[s, idx] == want))
+                if agree < cfg.sync_threshold:
+                    ok = False
+                    break
+                score += agree
+            if not ok:
+                continue
+            span = np.nonzero((centers >= cand_t0) & (centers < cand_t0 + pre_dur))[0]
+            p = (magnitudes[s, span].max(axis=1) ** 2).mean()
+            if floors[s] > 0 and p < cfg.energy_gate * floors[s]:
+                continue
+            if floors[s] <= 0 and p <= 0:
+                continue
+            matched.append(s)
+            score_total += score
+        if matched and score_total > best[0]:
+            best = (score_total, cand_t0, matched)
+    return best
+
+
+class TestSyncCandidateReference:
+    @settings(max_examples=60, deadline=None)
+    @given(bit_time=st.floats(0.1, 1.0),
+           extra_windows=st.integers(2, 40),
+           flip=st.floats(0.0, 0.3),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_reference(self, bit_time, extra_windows, flip, seed):
+        rng = np.random.default_rng(seed)
+        cfg = DemodConfig(bit_time=bit_time, g_freqs=(65.0, 77.0))
+        n_win = int(4 * cfg.windows_per_bit) + extra_windows
+        centers = (np.arange(n_win) * cfg.hop + cfg.fft_size / 2) / cfg.sample_rate
+        # a `1010` preamble at a random onset on every stream, then random
+        # flips; the search ends within two windows of the preamble's end
+        onset = rng.uniform(-bit_time / 4, centers[-1] - 3.5 * bit_time)
+        slot = np.floor((centers - onset) / bit_time).astype(int)
+        clean = np.where((slot >= 0) & (slot < 4), (slot + 1) % 2,
+                         rng.integers(0, 2, n_win))
+        decisions = (clean ^ (rng.random((4, n_win)) < flip)).astype(np.int8)
+        magnitudes = rng.uniform(0.0, 1.0, (4, n_win, 2))
+        floors = rng.uniform(0.0, 0.15, 4) * rng.integers(0, 2, 4)
+        end = np.searchsorted(centers, onset + 4 * bit_time) - 1 + rng.integers(-2, 3)
+        args = (decisions, magnitudes, floors, centers,
+                int(np.clip(end, 0, n_win - 1)), cfg)
+        assert _sync_candidate(*args) == sync_candidate_reference(*args)
+
+
 class TestDecideBit:
     def test_unanimous(self):
         assert decide_bit([1, 1, 1, 1]) == 1

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gyromodem.sigcore import (
     FrequencyRangeError,
@@ -13,6 +15,7 @@ from gyromodem.sigcore import (
     magnitude_stream,
     moving_average,
     stft,
+    tone_power,
 )
 
 
@@ -117,6 +120,26 @@ class TestVectorMagnitude:
         # fundamental sits at twice the injected frequency
         spec = stft(mags - mags.mean(), 500, 0, sample_rate=500)
         assert np.argmax(spec.magnitudes[0]) == 130
+
+
+class TestTonePower:
+    @settings(max_examples=50, deadline=None)
+    @given(frames=st.integers(1, 40),
+           n_bins=st.integers(16, 65),
+           levels=st.integers(1, 1000),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_floor_is_numpy_median(self, frames, n_bins, levels, seed):
+        rng = np.random.default_rng(seed)
+        # few levels give ties; odd and even noise-bin counts both occur
+        power = rng.integers(0, levels, (frames, n_bins)) * rng.uniform(0.5, 2.0)
+        original = power.copy()
+        tone_bins = sorted(set(rng.integers(0, n_bins, 2).tolist()))
+        excluded = {b + d for b in tone_bins for d in range(-2, 3)} | {0, 1}
+        noise_bins = [b for b in range(n_bins) if b not in excluded]
+        p_sig, floor = tone_power(power, tone_bins)
+        assert floor == float(np.median(power[:, noise_bins]))
+        assert np.array_equal(p_sig, power[:, tone_bins].max(axis=1))
+        assert np.array_equal(power, original)
 
 
 class TestMovingAverage:
