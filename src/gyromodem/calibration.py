@@ -8,7 +8,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .sigcore import GyroTrace, frame_spectra
+from .sigcore import TONE_FFT_SIZE, TONE_NOVERLAP, GyroTrace, frame_spectra
 
 DEFAULT_THRESHOLD_DB = 10.0
 
@@ -28,7 +28,6 @@ class SweepResult:
 
 def find_resonance_band(trace: GyroTrace, scan: Tuple[float, float, float],
                         threshold_db: float = DEFAULT_THRESHOLD_DB,
-                        fft_size: int = 128, noverlap: int = 96,
                         chirp_start: float = 0.0) -> SweepResult:
     """Map STFT frames to the chirp's instantaneous frequency and keep the
     longest contiguous run of frames at least threshold_db over the median
@@ -41,11 +40,12 @@ def find_resonance_band(trace: GyroTrace, scan: Tuple[float, float, float],
     energy = None
     for ax in range(3):
         x = trace.data[:, ax]
-        mag = np.abs(frame_spectra(x - x.mean(), fft_size, noverlap))
+        mag = np.abs(frame_spectra(x - x.mean(), TONE_FFT_SIZE, TONE_NOVERLAP))
         p = (mag[:, 1:] ** 2).sum(axis=1)  # skip DC
         energy = p if energy is None else energy + p
     # frame centers
-    times = (fft_size - noverlap) * np.arange(len(energy)) / rate + fft_size / (2 * rate)
+    hop = TONE_FFT_SIZE - TONE_NOVERLAP
+    times = hop * np.arange(len(energy)) / rate + TONE_FFT_SIZE / (2 * rate)
     chirp_rate = (f_end - f_start) / duration
     freqs = f_start + chirp_rate * (times - chirp_start)
     floor = float(np.median(energy))

@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Dict, Optional, Tuple
@@ -22,8 +22,9 @@ import numpy as np
 from scipy import ndimage
 from scipy import signal as sps
 
-from .sigcore import (DEFAULT_GYRO_RATE, GyroTrace, Waveform, active_snr_db,
-                      bin_index, frame_spectra, tone_power)
+from .sigcore import (DEFAULT_GYRO_RATE, TONE_FFT_SIZE, TONE_NOVERLAP, GyroTrace,
+                      Waveform, active_snr_db, bin_index, frame_spectra,
+                      from_dict, tone_power)
 
 # Critical in-band drive level past which the MEMS resonance response
 # collapses. Units are complex-envelope acoustic amplitude: a full-scale
@@ -109,8 +110,8 @@ BUILTIN_PROFILES: Dict[str, DeviceProfile] = {
     "s10": DeviceProfile(
         name="s10", band_lo=19000.0, band_hi=19077.0, gyro_max_freq=80.0,
         axis_weights=(1.0, 1.0, 0.0), fsk_pair=(19065.0, 19077.0)),
-    # Wider response window used for the 32-tone experiments; tones sit in
-    # 19000-19105 Hz and must land above DC in the gyro domain.
+    # Wider response window used for the 32-tone experiments; the harness's
+    # default M-FSK band must land above DC in the gyro domain.
     "s10_mfsk": DeviceProfile(
         name="s10_mfsk", band_lo=18980.0, band_hi=19110.0, gyro_max_freq=130.0,
         axis_weights=(1.0, 1.0, 0.0), fsk_pair=(19065.0, 19077.0)),
@@ -188,9 +189,7 @@ def _resample_complex(z: np.ndarray, up: int, down: int) -> np.ndarray:
     return out
 
 
-def _translate(w: Waveform, profile: DeviceProfile,
-               gyro_rate: int = DEFAULT_GYRO_RATE,
-               saturation: float = SATURATION_LEVEL) -> np.ndarray:
+def _translate(w: Waveform, profile: DeviceProfile) -> np.ndarray:
     """In-band acoustic content -> unit-weight gyro-domain signal (acoustic
     amplitude units; caller scales by response_amplitude and axis weights)."""
     fs = w.sample_rate
@@ -203,26 +202,27 @@ def _translate(w: Waveform, profile: DeviceProfile,
     f_center = 0.5 * (profile.band_lo + profile.band_hi)
     half_bw = 0.5 * (profile.band_hi - profile.band_lo)
     z = _complex_shift(x, -f_center, fs)
-    ratio = Fraction(gyro_rate, fs)
+    ratio = Fraction(DEFAULT_GYRO_RATE, fs)
     z = _resample_complex(z, ratio.numerator, ratio.denominator)
 
     # sharp band selection at the gyro rate: keep [-half_bw, +half_bw]
-    taps = sps.firwin(1001, half_bw + 2.0, fs=gyro_rate)
+    taps = sps.firwin(1001, half_bw + 2.0, fs=DEFAULT_GYRO_RATE)
     z = sps.fftconvolve(z, taps, mode="same")
-    y = _complex_shift(z, f_center - profile.band_lo, gyro_rate)
+    y = _complex_shift(z, f_center - profile.band_lo, DEFAULT_GYRO_RATE)
 
     # response ceiling: offsets above gyro_max_freq fold onto the ceiling
     bw = profile.band_hi - profile.band_lo
     gmax = profile.gyro_max_freq
     if bw > gmax:
-        u = _complex_shift(y, -gmax / 2.0, gyro_rate)
-        lp = sps.firwin(801, gmax / 2.0 + 1.0, fs=gyro_rate)
-        low = _complex_shift(sps.fftconvolve(u, lp, mode="same"), gmax / 2.0, gyro_rate)
+        u = _complex_shift(y, -gmax / 2.0, DEFAULT_GYRO_RATE)
+        lp = sps.firwin(801, gmax / 2.0 + 1.0, fs=DEFAULT_GYRO_RATE)
+        low = _complex_shift(sps.fftconvolve(u, lp, mode="same"), gmax / 2.0,
+                             DEFAULT_GYRO_RATE)
         high = y - low
         y = low + np.abs(high) * np.exp(
-            2j * np.pi * gmax * np.arange(len(y)) / gyro_rate)
+            2j * np.pi * gmax * np.arange(len(y)) / DEFAULT_GYRO_RATE)
 
-    return np.real(_saturate(y, saturation))
+    return np.real(_saturate(y))
 
 
 # phase-multiplication factor for the overloaded resonator response; high
@@ -235,29 +235,28 @@ OVERLOAD_PHASE_SPREAD = 16
 OVERLOAD_HOLD_SECONDS = 0.1
 
 
-def _saturate(y: np.ndarray, saturation: float,
-              sample_rate: int = DEFAULT_GYRO_RATE) -> np.ndarray:
+def _saturate(y: np.ndarray) -> np.ndarray:
     """Overload response: a constant-envelope drive below the critical level
     passes untouched; past it the resonator loses phase coherence, modelled
     as an amplitude-limited, phase-multiplied (wideband) output that holds
     for the ring-down time."""
     env = np.abs(y)
-    hold = max(int(round(OVERLOAD_HOLD_SECONDS * sample_rate)), 1)
+    hold = max(int(round(OVERLOAD_HOLD_SECONDS * DEFAULT_GYRO_RATE)), 1)
     env = ndimage.maximum_filter1d(env, size=hold, mode="nearest")
-    over = env > saturation
+    over = env > SATURATION_LEVEL
     if not np.any(over):
         return y
-    chaotic = saturation * np.exp(1j * OVERLOAD_PHASE_SPREAD * np.angle(y))
+    chaotic = SATURATION_LEVEL * np.exp(1j * OVERLOAD_PHASE_SPREAD * np.angle(y))
     return np.where(over, chaotic, y)
 
 
-def _shaped_noise(n: int, rng: np.random.Generator, profile: DeviceProfile,
-                  gyro_rate: int = DEFAULT_GYRO_RATE) -> np.ndarray:
+def _shaped_noise(n: int, rng: np.random.Generator,
+                  profile: DeviceProfile) -> np.ndarray:
     """Unit-floor Gaussian noise, (n, 3); the gyro resonance band carries
     INBAND_NOISE_BOOST times the out-of-band power density."""
     white = rng.standard_normal((n, 3))
     if INBAND_NOISE_BOOST > 1.0:
-        lp = sps.firwin(301, profile.gyro_max_freq + 10.0, fs=gyro_rate)
+        lp = sps.firwin(301, profile.gyro_max_freq + 10.0, fs=DEFAULT_GYRO_RATE)
         extra = rng.standard_normal((n, 3))
         extra = sps.fftconvolve(extra, lp[:, None], mode="same", axes=0)
         white = white + np.sqrt(INBAND_NOISE_BOOST - 1.0) * extra
@@ -270,8 +269,7 @@ def _fsk_gyro_freqs(profile: DeviceProfile) -> Tuple[float, float]:
 
 
 def _calibrate_sigma(clean: np.ndarray, unit_noise: np.ndarray,
-                     profile: DeviceProfile, snr_db: float,
-                     gyro_rate: int) -> float:
+                     profile: DeviceProfile, snr_db: float) -> float:
     """Binary-search the noise scale until the tone-SNR estimator (best axis,
     like the receiver's) reads the requested value on (clean + sigma*noise)."""
     g_freqs = _fsk_gyro_freqs(profile)
@@ -280,10 +278,9 @@ def _calibrate_sigma(clean: np.ndarray, unit_noise: np.ndarray,
     # the estimator's spectra are linear in their input, so precompute the
     # clean and unit-noise spectra once and evaluate every candidate sigma
     # without another FFT
-    fft_size, noverlap = 128, 96
-    gbins = [bin_index(f, fft_size, gyro_rate) for f in g_freqs]
-    spec_pairs = [(frame_spectra(clean[:, ax], fft_size, noverlap),
-                   frame_spectra(unit_noise[:, ax], fft_size, noverlap))
+    gbins = [bin_index(f, TONE_FFT_SIZE, DEFAULT_GYRO_RATE) for f in g_freqs]
+    spec_pairs = [(frame_spectra(clean[:, ax], TONE_FFT_SIZE, TONE_NOVERLAP),
+                   frame_spectra(unit_noise[:, ax], TONE_FFT_SIZE, TONE_NOVERLAP))
                   for ax in axes]
 
     def measured(sigma: float) -> float:
@@ -317,10 +314,8 @@ def _calibrate_sigma(clean: np.ndarray, unit_noise: np.ndarray,
     return float(np.sqrt(lo * hi))
 
 
-def apply_channel(w: Waveform, profile: DeviceProfile, cond: ChannelCondition,
-                  gyro_rate: int = DEFAULT_GYRO_RATE,
-                  axis_bias: Tuple[float, float, float] = DEFAULT_AXIS_BIAS,
-                  ) -> GyroTrace:
+def apply_channel(w: Waveform, profile: DeviceProfile,
+                  cond: ChannelCondition) -> GyroTrace:
     """Simulate the full acoustic -> angular-velocity path. Deterministic for
     identical (waveform, profile, condition)."""
     if len(w) == 0:
@@ -330,28 +325,28 @@ def apply_channel(w: Waveform, profile: DeviceProfile, cond: ChannelCondition,
     else:
         combined = w
 
-    base = _translate(combined, profile, gyro_rate)
+    base = _translate(combined, profile)
     weights = np.asarray(profile.axis_weights)
     clean = profile.response_amplitude * base[:, None] * weights[None, :]
 
     sigma = 0.0
     rng = np.random.default_rng(cond.noise_seed)
-    unit_noise = _shaped_noise(len(base), rng, profile, gyro_rate)
+    unit_noise = _shaped_noise(len(base), rng, profile)
     if cond.noise_rms is not None:
         sigma = float(cond.noise_rms)
     elif cond.snr_db is not None:
         if cond.jammer is not None:
             # calibrate against the covert signal alone; jamming must not
             # quiet the channel noise
-            base_clean = _translate(w, profile, gyro_rate)
+            base_clean = _translate(w, profile)
             clean_ref = profile.response_amplitude * base_clean[:, None] * weights[None, :]
         else:
             clean_ref = clean
         sigma = _calibrate_sigma(clean_ref, unit_noise, profile,
-                                 float(cond.snr_db), gyro_rate)
+                                 float(cond.snr_db))
 
-    data = clean + sigma * unit_noise + np.asarray(axis_bias)[None, :]
-    return GyroTrace.from_axes(data, gyro_rate)
+    data = clean + sigma * unit_noise + np.asarray(DEFAULT_AXIS_BIAS)[None, :]
+    return GyroTrace.from_axes(data)
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +360,7 @@ def write_trace_csv(trace: GyroTrace, destination) -> None:
             fp.write(f"{int(t)},{float(x)!r},{float(y)!r},{float(z)!r}\n")
 
 
-def read_trace_csv(source, sample_rate: Optional[int] = None) -> GyroTrace:
+def read_trace_csv(source) -> GyroTrace:
     path = Path(source)
     t_list, rows = [], []
     with path.open(newline="") as fp:
@@ -374,31 +369,17 @@ def read_trace_csv(source, sample_rate: Optional[int] = None) -> GyroTrace:
             t_list.append(int(row["t_us"]))
             rows.append((float(row["x"]), float(row["y"]), float(row["z"])))
     t = np.array(t_list, dtype=np.int64)
-    if sample_rate is None:
-        if len(t) < 2:
-            raise ChannelError(f"{path}: cannot infer sample rate from <2 rows")
-        sample_rate = int(round(1e6 / float(np.median(np.diff(t)))))
+    if len(t) < 2:
+        raise ChannelError(f"{path}: cannot infer sample rate from <2 rows")
+    sample_rate = int(round(1e6 / float(np.median(np.diff(t)))))
     return GyroTrace(t_us=t, data=np.array(rows), sample_rate=sample_rate)
 
 
-def profile_to_dict(p: DeviceProfile) -> dict:
-    return {
-        "name": p.name, "band_lo": p.band_lo, "band_hi": p.band_hi,
-        "gyro_max_freq": p.gyro_max_freq, "axis_weights": list(p.axis_weights),
-        "fsk_pair": list(p.fsk_pair), "response_amplitude": p.response_amplitude,
-    }
-
-
 def load_profile(source) -> DeviceProfile:
-    """One JSON document per device; keys exactly the profile field names."""
+    """One JSON document per device, keyed by the profile field names (the
+    inverse of dataclasses.asdict)."""
     with Path(source).open() as fp:
-        doc = json.load(fp)
-    return DeviceProfile(
-        name=doc["name"], band_lo=float(doc["band_lo"]), band_hi=float(doc["band_hi"]),
-        gyro_max_freq=float(doc["gyro_max_freq"]),
-        axis_weights=tuple(float(v) for v in doc["axis_weights"]),
-        fsk_pair=tuple(float(v) for v in doc["fsk_pair"]),
-        response_amplitude=float(doc.get("response_amplitude", 0.02)))
+        return from_dict(DeviceProfile, json.load(fp))
 
 
 def load_profiles(directory) -> Dict[str, DeviceProfile]:

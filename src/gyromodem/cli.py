@@ -3,9 +3,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
-
-import numpy as np
+from dataclasses import replace
 
 from . import calibration, channel, countermeasure, framing, harness, modem_rx, modem_tx
 from .channel import ChannelCondition, apply_channel, get_preset, get_profile
@@ -16,13 +14,10 @@ from .sigcore import DEFAULT_AUDIO_RATE, generate_chirp
 def _parse_payloads(args) -> list:
     if args.text is not None:
         return framing.segment_payloads(args.text.encode("utf-8"))
-    if args.payload is not None:
-        bits = [int(c) for c in args.payload if c in "01"]
-        if len(bits) != len(args.payload) or len(bits) % framing.PAYLOAD_BITS:
-            raise ValueError(
-                "--payload must be 0/1 characters, a multiple of 12 bits")
-        return [tuple(bits[i:i + 12]) for i in range(0, len(bits), 12)]
-    raise ValueError("one of --text or --payload is required")
+    bits = [int(c) for c in args.payload if c in "01"]
+    if len(bits) != len(args.payload) or len(bits) % framing.PAYLOAD_BITS:
+        raise ValueError("--payload must be 0/1 characters, a multiple of 12 bits")
+    return [tuple(bits[i:i + 12]) for i in range(0, len(bits), 12)]
 
 
 def _experiment_config(args) -> harness.ExperimentConfig:
@@ -38,7 +33,7 @@ def cmd_transmit(args) -> int:
     fsk = harness.fsk_config_for(profile, _experiment_config(args))
     wave = transmit_frames(_parse_payloads(args), fsk, gap=args.gap,
                            sample_rate=args.sample_rate)
-    if args.filter_cutoff:
+    if args.filter_cutoff is not None:
         wave = countermeasure.lowpass(wave, args.filter_cutoff)
     export_wav(wave, args.out)
     print(f"wrote {args.out}: {wave.duration:.3f}s at {wave.sample_rate} Hz")
@@ -108,7 +103,6 @@ def cmd_jam(args) -> int:
 def cmd_ber(args) -> int:
     cfg = harness.load_experiment_config(args.config)
     if args.seed is not None:
-        from dataclasses import replace
         cfg = replace(cfg, seed=args.seed)
     table = harness.run_ber_experiment(cfg, args.profile_dir)
     table.to_csv(args.out)
@@ -119,7 +113,7 @@ def cmd_ber(args) -> int:
 
 
 def cmd_spectrogram(args) -> int:
-    if args.wav:
+    if args.wav is not None:
         source = import_wav(args.wav)
     else:
         source = channel.read_trace_csv(args.trace)
@@ -131,9 +125,11 @@ def cmd_spectrogram(args) -> int:
 def _add_common_tx(p):
     p.add_argument("--profile", required=True)
     p.add_argument("--profile-dir", default=None)
-    p.add_argument("--bit-time", type=float, default=0.7, dest="bit_time")
+    p.add_argument("--bit-time", type=float, default=harness.ExperimentConfig.bit_time,
+                   dest="bit_time")
     p.add_argument("--order", type=int, default=2)
-    p.add_argument("--band", type=float, nargs=2, default=(19000.0, 19105.0),
+    p.add_argument("--band", type=float, nargs=2,
+                   default=harness.ExperimentConfig.mfsk_band,
                    help="tone band for orders above 2")
     p.add_argument("--amplitude", type=float, default=modem_tx.DEFAULT_AMPLITUDE)
 
@@ -147,9 +143,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("transmit", help="payload/text -> WAV")
     _add_common_tx(p)
-    p.add_argument("--text")
-    p.add_argument("--payload", help="bit string, multiple of 12 bits")
-    p.add_argument("--gap", type=float, default=0.5)
+    g = p.add_mutually_exclusive_group(required=True)
+    g.add_argument("--text")
+    g.add_argument("--payload", help="bit string, multiple of 12 bits")
+    p.add_argument("--gap", type=float, default=modem_tx.DEFAULT_FRAME_GAP)
     p.add_argument("--filter-cutoff", type=float, default=None,
                    dest="filter_cutoff")
     p.add_argument("--sample-rate", type=int, default=DEFAULT_AUDIO_RATE,
@@ -161,8 +158,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile", required=True)
     p.add_argument("--profile-dir", default=None)
     p.add_argument("--wav", required=True)
-    p.add_argument("--snr-db", type=float, default=None, dest="snr_db")
-    p.add_argument("--distance-cm", type=float, default=None, dest="distance_cm")
+    g = p.add_mutually_exclusive_group()
+    g.add_argument("--snr-db", type=float, default=None, dest="snr_db")
+    g.add_argument("--distance-cm", type=float, default=None, dest="distance_cm")
     p.add_argument("--room", default="open")
     p.add_argument("--jammer-wav", default=None, dest="jammer_wav")
     p.add_argument("--seed", type=int, default=0)
@@ -183,7 +181,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--duration", type=float, default=20.0)
     p.add_argument("--amplitude", type=float, default=0.2)
     p.add_argument("--snr-db", type=float, default=None, dest="snr_db")
-    p.add_argument("--threshold-db", type=float, default=10.0,
+    p.add_argument("--threshold-db", type=float,
+                   default=calibration.DEFAULT_THRESHOLD_DB,
                    dest="threshold_db")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--sample-rate", type=int, default=DEFAULT_AUDIO_RATE,
@@ -194,10 +193,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("jam", help="random in-band jammer -> WAV")
     p.add_argument("--f-min", type=float, required=True, dest="f_min")
     p.add_argument("--f-max", type=float, required=True, dest="f_max")
-    p.add_argument("--burst", type=float, default=1.0,
+    jam_defaults = countermeasure.JammerConfig
+    p.add_argument("--burst", type=float, default=jam_defaults.T,
                    help="max burst/gap duration (seconds)")
-    p.add_argument("--max-volume", type=float, default=0.2, dest="max_volume")
-    p.add_argument("--duration", type=float, default=10.0)
+    p.add_argument("--max-volume", type=float, default=jam_defaults.max_volume,
+                   dest="max_volume")
+    p.add_argument("--duration", type=float, default=jam_defaults.total_duration)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--sample-rate", type=int, default=DEFAULT_AUDIO_RATE,
                    dest="sample_rate")
@@ -212,8 +213,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_ber)
 
     p = sub.add_parser("spectrogram", help="WAV or trace CSV -> dB matrix CSV")
-    p.add_argument("--wav")
-    p.add_argument("--trace")
+    g = p.add_mutually_exclusive_group(required=True)
+    g.add_argument("--wav")
+    g.add_argument("--trace")
     p.add_argument("--fft-size", type=int, default=4096, dest="fft_size")
     p.add_argument("--noverlap", type=int, default=2048)
     p.add_argument("--out", required=True)

@@ -17,8 +17,8 @@ RAMP_SECONDS = 0.005  # raised-cosine edges keep jam energy inside the band
 class JammerConfig:
     f_min: float
     f_max: float
-    T: float                 # max burst / gap duration, seconds
-    max_volume: float
+    T: float = 1.0           # max burst / gap duration, seconds
+    max_volume: float = 0.2
     seed: int = 0
     total_duration: float = 10.0
     # fixed per-burst volume; None draws each burst from (0, max_volume]

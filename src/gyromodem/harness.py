@@ -3,18 +3,19 @@ spectrogram export for external plotting."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
-from . import channel, countermeasure, framing, modem_rx, modem_tx
+from . import channel, framing, modem_tx
 from .channel import ChannelCondition, DeviceProfile, apply_channel, distance_to_snr
 from .countermeasure import JammerConfig, jam_waveform, lowpass
 from .modem_rx import DemodConfig, demodulate_stream
 from .modem_tx import FskConfig, transmit_frames, uniform_tones
-from .sigcore import DEFAULT_AUDIO_RATE, GyroTrace, Waveform, stft
+from .sigcore import (TONE_FFT_SIZE, ConfigError, GyroTrace, Waveform, from_dict,
+                      magnitude_stream, stft)
 
 DB_FLOOR = -120.0
 
@@ -41,6 +42,9 @@ class ExperimentConfig:
             raise ValueError("modulation must be 'bfsk' or 'mfsk'")
         if self.modulation == "bfsk" and self.order != 2:
             raise ValueError("bfsk implies order 2")
+        if self.filter_cutoff is not None and self.filter_cutoff <= 0:
+            raise ConfigError(f"filter_cutoff must be positive or null, "
+                              f"got {self.filter_cutoff}")
 
 
 @dataclass
@@ -73,9 +77,7 @@ def fsk_config_for(profile: DeviceProfile, cfg: ExperimentConfig) -> FskConfig:
                      amplitude=cfg.amplitude)
 
 
-def demod_config_for(profile: DeviceProfile, fsk: FskConfig,
-                     fft_size: Optional[int] = None,
-                     noverlap: Optional[int] = None) -> DemodConfig:
+def demod_config_for(profile: DeviceProfile, fsk: FskConfig) -> DemodConfig:
     g = []
     for f in fsk.tone_freqs:
         gf = channel.gyro_frequency(f, profile)
@@ -83,10 +85,9 @@ def demod_config_for(profile: DeviceProfile, fsk: FskConfig,
             raise channel.ChannelError(
                 f"tone {f} Hz outside {profile.name}'s resonance band")
         g.append(gf)
-    if fft_size is None:
-        fft_size = 128 if fsk.order == 2 else 256
-    if noverlap is None:
-        noverlap = fft_size * 3 // 4
+    # an M-ary grid's tones sit closer than the tone-SNR window's bins
+    fft_size = TONE_FFT_SIZE if fsk.order == 2 else 256
+    noverlap = fft_size * 3 // 4
     return DemodConfig(bit_time=fsk.bit_time, g_freqs=tuple(g),
                        fft_size=fft_size, noverlap=noverlap)
 
@@ -98,8 +99,7 @@ def _point_seed(seed: int, *parts: int) -> np.random.Generator:
 def run_point(profile: DeviceProfile, fsk: FskConfig, rxcfg: DemodConfig,
               snr_db: float, n_frames: int, seed: int, point_index: int,
               jammer: Optional[JammerConfig] = None,
-              filter_cutoff: Optional[float] = None,
-              sample_rate: int = DEFAULT_AUDIO_RATE) -> BerRow:
+              filter_cutoff: Optional[float] = None) -> BerRow:
     """Simulate n_frames single-frame transmissions at one SNR point."""
     wrong_bits = 0
     synced = 0
@@ -107,17 +107,13 @@ def run_point(profile: DeviceProfile, fsk: FskConfig, rxcfg: DemodConfig,
     for fi in range(n_frames):
         rng = _point_seed(seed, point_index, fi)
         payload = tuple(int(b) for b in rng.integers(0, 2, framing.PAYLOAD_BITS))
-        wave = transmit_frames([payload], fsk, gap=0.0, sample_rate=sample_rate)
+        wave = transmit_frames([payload], fsk, gap=0.0)
         if filter_cutoff is not None:
             wave = lowpass(wave, filter_cutoff)
         jam = None
         if jammer is not None:
-            jam_cfg = JammerConfig(
-                f_min=jammer.f_min, f_max=jammer.f_max, T=jammer.T,
-                max_volume=jammer.max_volume, volume=jammer.volume,
-                seed=int(rng.integers(0, 2 ** 31)),
-                total_duration=wave.duration)
-            jam = jam_waveform(jam_cfg, sample_rate)
+            jam = jam_waveform(replace(jammer, seed=int(rng.integers(0, 2 ** 31)),
+                                       total_duration=wave.duration))
         noise_seed = int(rng.integers(0, 2 ** 31))
         cond = ChannelCondition(snr_db=snr_db, noise_seed=noise_seed, jammer=jam)
         trace = apply_channel(wave, profile, cond)
@@ -154,7 +150,8 @@ def run_ber_experiment(cfg: ExperimentConfig, profile_dir=None) -> BerTable:
     return table
 
 
-def effective_data_rate(bit_time: float, gap: float = 0.5) -> Tuple[float, float]:
+def effective_data_rate(bit_time: float,
+                        gap: float = modem_tx.DEFAULT_FRAME_GAP) -> Tuple[float, float]:
     """(payload bits/s, raw channel bits/s) for the 17-bit frame format."""
     payload_rate = framing.PAYLOAD_BITS / (framing.FRAME_BITS * bit_time + gap)
     return payload_rate, 1.0 / bit_time
@@ -167,7 +164,6 @@ def emit_spectrogram(source: Union[Waveform, GyroTrace], fft_size: int,
     if isinstance(source, Waveform):
         x, rate = source.samples, source.sample_rate
     else:
-        from .sigcore import magnitude_stream
         x = magnitude_stream(source)
         x = x - x.mean()
         rate = source.sample_rate
@@ -182,30 +178,10 @@ def emit_spectrogram(source: Union[Waveform, GyroTrace], fft_size: int,
 
 
 def load_experiment_config(source) -> ExperimentConfig:
-    """Experiment description as a JSON document keyed by the field names."""
+    """Experiment description as a JSON document keyed by the field names;
+    the jammer, when present, is an object keyed by JammerConfig's."""
     with Path(source).open() as fp:
         doc = json.load(fp)
-    jam = None
-    if doc.get("jammer"):
-        j = doc["jammer"]
-        jam = JammerConfig(f_min=float(j["f_min"]), f_max=float(j["f_max"]),
-                           T=float(j.get("T", 1.0)),
-                           max_volume=float(j.get("max_volume", 0.2)),
-                           seed=int(j.get("seed", 0)),
-                           total_duration=float(j.get("total_duration", 10.0)),
-                           volume=(float(j["volume"])
-                                   if j.get("volume") is not None else None))
-    return ExperimentConfig(
-        profile=doc["profile"],
-        modulation=doc.get("modulation", "bfsk"),
-        order=int(doc.get("order", 2)),
-        bit_time=float(doc.get("bit_time", 0.7)),
-        room=doc.get("room", "open"),
-        distances_cm=tuple(float(d) for d in doc.get("distances_cm", ())),
-        frames_per_point=int(doc.get("frames_per_point", 50)),
-        seed=int(doc.get("seed", 0)),
-        amplitude=float(doc.get("amplitude", modem_tx.DEFAULT_AMPLITUDE)),
-        mfsk_band=tuple(doc.get("mfsk_band", (19000.0, 19105.0))),
-        jammer=jam,
-        filter_cutoff=(float(doc["filter_cutoff"])
-                       if doc.get("filter_cutoff") else None))
+    if isinstance(doc, dict) and doc.get("jammer") is not None:
+        doc["jammer"] = from_dict(JammerConfig, doc["jammer"])
+    return from_dict(ExperimentConfig, doc)

@@ -8,14 +8,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import framing
-from .sigcore import (DEFAULT_GYRO_RATE, ConfigError, GyroTrace, bin_index,
-                      frame_spectra, magnitude_stream, moving_average,
-                      tone_power, tone_snr_db)
+from .sigcore import (DEFAULT_GYRO_RATE, TONE_FFT_SIZE, TONE_NOVERLAP,
+                      ConfigError, GyroTrace, bin_index, frame_spectra,
+                      magnitude_stream, moving_average, tone_power, tone_snr_db)
 
 STREAM_NAMES = ("x", "y", "z", "mag")
 
-DEFAULT_FFT_SIZE = 128
-DEFAULT_NOVERLAP = 96
 DEFAULT_SMOOTHING = 4
 SYNC_AGREEMENT = 0.75
 # mean preamble-bin power must clear the trace noise floor by this factor
@@ -31,11 +29,8 @@ class DemodConfig:
     bit_time: float
     g_freqs: Tuple[float, ...]
     sample_rate: int = DEFAULT_GYRO_RATE
-    fft_size: int = DEFAULT_FFT_SIZE
-    noverlap: int = DEFAULT_NOVERLAP
-    w: int = DEFAULT_SMOOTHING
-    sync_threshold: float = SYNC_AGREEMENT
-    energy_gate: float = SYNC_ENERGY_GATE
+    fft_size: int = TONE_FFT_SIZE
+    noverlap: int = TONE_NOVERLAP
 
     def __post_init__(self):
         if not 0 <= self.noverlap < self.fft_size:
@@ -114,13 +109,13 @@ def decide_bit(window_symbols: Sequence[int],
     return max(tied, key=lambda s: sums[s])
 
 
-def _streams(trace: GyroTrace, w: int) -> np.ndarray:
+def _streams(trace: GyroTrace) -> np.ndarray:
     """Smoothed, detrended x/y/z/magnitude streams, shape (4, n)."""
     mag = magnitude_stream(trace)
     raw = np.column_stack([trace.data, mag]).T
     out = np.empty_like(raw)
     for i, row in enumerate(raw):
-        out[i] = moving_average(row - row.mean(), w)
+        out[i] = moving_average(row - row.mean(), DEFAULT_SMOOTHING)
     return out
 
 
@@ -167,7 +162,7 @@ def _sync_candidate(decisions: np.ndarray, magnitudes: np.ndarray,
     agree = np.where(pattern == 1, ones, n - ones) / np.maximum(n, 1)
     # a stream must agree at the threshold in every slot, and every slot
     # must hold a window
-    ok = (agree >= cfg.sync_threshold).all(axis=2) & (n > 0).all(axis=1)
+    ok = (agree >= SYNC_AGREEMENT).all(axis=2) & (n > 0).all(axis=1)
     score = agree[..., 0]
     for slot in range(1, len(pattern)):
         score = score + agree[..., slot]
@@ -180,7 +175,7 @@ def _sync_candidate(decisions: np.ndarray, magnitudes: np.ndarray,
         matched, score_total = [], 0.0
         for s in np.flatnonzero(ok[:, c]):
             p = (magnitudes[s, span].max(axis=1) ** 2).mean()
-            if floors[s] > 0 and p < cfg.energy_gate * floors[s]:
+            if floors[s] > 0 and p < SYNC_ENERGY_GATE * floors[s]:
                 continue
             if floors[s] <= 0 and p <= 0:
                 continue
@@ -266,7 +261,7 @@ def _mary_demod(streams: np.ndarray, mags: np.ndarray, floors: np.ndarray,
     power = (mags.max(axis=2) ** 2)  # (4, n_win)
     floor = np.maximum(floors, 1e-30)[:, None]
     pmax = power.max(axis=0)
-    gate = cfg.energy_gate * floor.max()
+    gate = SYNC_ENERGY_GATE * floor.max()
     # filter sidelobes leak a weak precursor ahead of the true onset; demand
     # a sizable fraction of the typical in-frame window power, not just a
     # clear noise floor
@@ -349,8 +344,8 @@ def _frame_snr(trace: GyroTrace, cfg: DemodConfig, t0: float, dur: float) -> flo
 def measure_snr(trace: GyroTrace, g_freqs: Sequence[float],
                 cfg: Optional[DemodConfig] = None) -> float:
     """Gyro-bin SNR estimate: best axis wins. -inf for an all-zero trace."""
-    fft_size = cfg.fft_size if cfg else DEFAULT_FFT_SIZE
-    noverlap = cfg.noverlap if cfg else DEFAULT_NOVERLAP
+    fft_size = cfg.fft_size if cfg else TONE_FFT_SIZE
+    noverlap = cfg.noverlap if cfg else TONE_NOVERLAP
     rate = cfg.sample_rate if cfg else trace.sample_rate
     best = float("-inf")
     for ax in range(3):
@@ -371,15 +366,15 @@ def demodulate_stream(trace: GyroTrace, cfg: DemodConfig) -> RxReport:
         report.diagnostics.append(
             f"trace of {len(trace)} samples shorter than one frame; nothing decoded")
         return report
-    streams = _streams(trace, cfg.w)
+    streams = _streams(trace)
     mags, floors = _window_stats(streams, cfg)
     n_win = mags.shape[1]
     centers = (np.arange(n_win) * cfg.hop + cfg.fft_size / 2) / cfg.sample_rate
     if cfg.order == 2:
         return _binary_demod(mags, floors, centers, cfg, trace)
-    # matched filtering must see the unsmoothed axes: the length-w moving
-    # average has spectral nulls at sample_rate/w multiples, which can land
-    # on the upper tones of a wide M-ary grid
+    # matched filtering must see the unsmoothed axes: the smoothing moving
+    # average has spectral nulls at multiples of sample_rate /
+    # DEFAULT_SMOOTHING, which can land on the upper tones of a wide M-ary grid
     raw = trace.data.T - trace.data.T.mean(axis=1, keepdims=True)
     return _mary_demod(raw, mags, floors, centers, cfg, trace)
 

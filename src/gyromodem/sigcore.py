@@ -6,7 +6,7 @@ Everything here is a pure function over immutable inputs; no global state.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import Sequence, Tuple
 
@@ -15,13 +15,32 @@ import numpy as np
 DEFAULT_AUDIO_RATE = 48000
 DEFAULT_GYRO_RATE = 500
 
+# the tone-SNR analysis window at the gyro rate, shared by the channel's
+# noise calibration, the B-FSK receiver and the band sweep
+TONE_FFT_SIZE = 128
+TONE_NOVERLAP = 96
+
 
 class FrequencyRangeError(ValueError):
     """Requested frequency is outside the representable band."""
 
 
 class ConfigError(ValueError):
-    """Inconsistent analysis parameters."""
+    """Inconsistent analysis parameters or a malformed config document."""
+
+
+def from_dict(cls, doc):
+    """Frozen dataclass cls from a JSON object keyed by its field names.
+    Lists become tuples; absent keys take the dataclass defaults."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{cls.__name__}: expected a JSON object, "
+                          f"got {type(doc).__name__}")
+    names = [f.name for f in fields(cls)]
+    unknown = sorted(set(doc) - set(names))
+    if unknown:
+        raise ConfigError(f"{cls.__name__}: unknown key(s) {', '.join(unknown)}; "
+                          f"expected some of {', '.join(names)}")
+    return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in doc.items()})
 
 
 @dataclass(frozen=True)
@@ -128,7 +147,6 @@ def generate_chirp(f_start: float, f_end: float, duration: float, amplitude: flo
 _WINDOWS = {
     "rect": lambda n: np.ones(n),
     "hann": lambda n: np.hanning(n),
-    "hamming": lambda n: np.hamming(n),
 }
 
 
@@ -243,7 +261,7 @@ def active_snr_db(p_sig: np.ndarray, floor: float) -> float:
 
 
 def tone_snr_db(x: np.ndarray, freqs: Sequence[float], sample_rate: int,
-                fft_size: int = 128, noverlap: int = 96) -> float:
+                fft_size: int = TONE_FFT_SIZE, noverlap: int = TONE_NOVERLAP) -> float:
     """Tone-bin SNR (dB) of one stream; see tone_power and active_snr_db."""
     bins = [bin_index(f, fft_size, sample_rate) for f in freqs]
     power = np.abs(frame_spectra(x, fft_size, noverlap)) ** 2

@@ -12,6 +12,7 @@ from scipy import signal as sps
 
 from gyromodem import modem_rx, modem_tx
 from gyromodem.channel import (
+    BUILTIN_PROFILES,
     ChannelCondition,
     ChannelError,
     GyroTrace,
@@ -22,13 +23,13 @@ from gyromodem.channel import (
     get_profile,
     gyro_frequency,
     load_profile,
-    profile_to_dict,
     read_trace_csv,
     superpose,
     write_trace_csv,
 )
 from gyromodem.harness import demod_config_for
-from gyromodem.sigcore import Waveform, frame_spectra, generate_sine, tone_power
+from gyromodem.sigcore import (ConfigError, Waveform, frame_spectra, generate_sine,
+                               tone_power)
 
 S10 = get_profile("s10")
 S9 = get_profile("s9")
@@ -242,12 +243,20 @@ class TestSerialization:
         with pytest.raises(ValueError, match="finite"):
             read_trace_csv(path)
 
-    def test_profile_json_round_trip(self, tmp_path):
-        doc = profile_to_dict(S9)
+    @pytest.mark.parametrize("name", sorted(BUILTIN_PROFILES))
+    def test_profile_json_round_trip(self, tmp_path, name):
+        profile = BUILTIN_PROFILES[name]
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(dataclasses.asdict(profile)))
+        assert load_profile(path) == profile
+
+    def test_profile_unknown_key_rejected(self, tmp_path):
+        # a misspelt override must not fall back to the built-in value
+        doc = dict(dataclasses.asdict(S9), gyro_max_frq=90.0)
         path = tmp_path / "s9.json"
         path.write_text(json.dumps(doc))
-        back = load_profile(path)
-        assert back == S9
+        with pytest.raises(ConfigError, match="gyro_max_frq"):
+            load_profile(path)
 
     def test_unknown_profile_lists_names(self):
         with pytest.raises(ChannelError) as err:

@@ -26,9 +26,32 @@ class TestTransmit:
         assert run("transmit", "--profile", "s10", "--payload", "1010",
                    "--out", out) != 0
 
+    def test_zero_filter_cutoff_fails(self, tmp_path):
+        out = tmp_path / "a.wav"
+        assert run("transmit", "--profile", "s10", "--text", "A",
+                   "--filter-cutoff", "0", "--out", out) == 1
+        assert not out.exists()
+
     def test_missing_required_flag_usage_error(self, capsys):
         assert run("transmit", "--profile", "s10") == 2
         assert "usage" in capsys.readouterr().err
+
+
+class TestConflictingFlags:
+    @pytest.mark.parametrize("argv", [
+        ("transmit", "--profile", "s10", "--text", "A",
+         "--payload", "101100111000", "--out", "a.wav"),
+        ("simulate", "--profile", "s10", "--wav", "a.wav", "--snr-db", "20",
+         "--distance-cm", "50", "--out", "t.csv"),
+        ("spectrogram", "--wav", "a.wav", "--trace", "t.csv", "--out", "s.csv"),
+        ("spectrogram", "--out", "s.csv"),
+    ], ids=["text-and-payload", "snr-and-distance", "wav-and-trace",
+            "neither-wav-nor-trace"])
+    def test_usage_error(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        assert run(*argv) == 2
+        assert "usage" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
 
 class TestPipeline:

@@ -1,5 +1,6 @@
 """Experiment runner, spectrogram export, and throughput accounting."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from gyromodem import modem_rx, modem_tx
 from gyromodem.channel import ChannelCondition, apply_channel, get_profile
+from gyromodem.countermeasure import JammerConfig
 from gyromodem.harness import (
     DB_FLOOR,
     ExperimentConfig,
@@ -17,7 +19,7 @@ from gyromodem.harness import (
     run_ber_experiment,
     run_point,
 )
-from gyromodem.sigcore import Waveform, generate_chirp
+from gyromodem.sigcore import ConfigError, Waveform, generate_chirp
 
 
 def read_matrix(path):
@@ -68,6 +70,29 @@ class TestExperimentConfig:
         assert cfg.profile == "s9" and cfg.room == "narrow"
         assert cfg.distances_cm == (100.0, 200.0)
         assert cfg.frames_per_point == 5 and cfg.seed == 11
+
+    def test_full_config_round_trip(self, tmp_path):
+        cfg = ExperimentConfig(
+            profile="s10_mfsk", modulation="mfsk", order=32, bit_time=0.5,
+            room="narrow", distances_cm=(100.0, 300.0), frames_per_point=4,
+            seed=9, mfsk_band=(19010.0, 19100.0), filter_cutoff=21000.0,
+            jammer=JammerConfig(f_min=19000.0, f_max=19077.0, T=0.5,
+                                max_volume=0.3, seed=2, volume=0.1))
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps(dataclasses.asdict(cfg)))
+        assert load_experiment_config(path) == cfg
+
+    @pytest.mark.parametrize("doc, word", [
+        ({"profile": "s10", "frames_per_pont": 3}, "frames_per_pont"),
+        ({"profile": "s10", "jammer": {"f_min": 19000, "f_max": 19077,
+                                       "max_volum": 0.5}}, "max_volum"),
+        ({"profile": "s10", "filter_cutoff": 0}, "filter_cutoff"),
+    ], ids=["unknown-key", "unknown-jammer-key", "zero-filter-cutoff"])
+    def test_bad_json_names_the_key(self, tmp_path, doc, word):
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match=word):
+            load_experiment_config(path)
 
 
 class TestRunBerExperiment:

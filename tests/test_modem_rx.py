@@ -12,6 +12,8 @@ from gyromodem import modem_tx
 from gyromodem.channel import ChannelCondition, GyroTrace, apply_channel, get_profile
 from gyromodem.harness import demod_config_for
 from gyromodem.modem_rx import (
+    SYNC_AGREEMENT,
+    SYNC_ENERGY_GATE,
     DemodConfig,
     _sync_candidate,
     _tone_energies,
@@ -212,7 +214,7 @@ def sync_candidate_reference(decisions, magnitudes, floors, centers, end_idx, cf
                     ok = False
                     break
                 agree = float(np.mean(decisions[s, idx] == want))
-                if agree < cfg.sync_threshold:
+                if agree < SYNC_AGREEMENT:
                     ok = False
                     break
                 score += agree
@@ -220,7 +222,7 @@ def sync_candidate_reference(decisions, magnitudes, floors, centers, end_idx, cf
                 continue
             span = np.nonzero((centers >= cand_t0) & (centers < cand_t0 + pre_dur))[0]
             p = (magnitudes[s, span].max(axis=1) ** 2).mean()
-            if floors[s] > 0 and p < cfg.energy_gate * floors[s]:
+            if floors[s] > 0 and p < SYNC_ENERGY_GATE * floors[s]:
                 continue
             if floors[s] <= 0 and p <= 0:
                 continue
