@@ -10,8 +10,7 @@ from .modem_tx import (FskConfig, export_wav, import_wav, modulate,
 from .channel import (BUILTIN_PROFILES, BUILTIN_PRESETS, ChannelCondition,
                       DeviceProfile, DistancePreset, apply_channel,
                       distance_to_snr, gyro_frequency, superpose)
-from .modem_rx import (DemodConfig, RxReport, decide_bit, demodulate_stream,
-                       measure_snr)
+from .modem_rx import DemodConfig, RxReport, demodulate_stream, measure_snr
 from .calibration import SweepResult, find_resonance_band
 from .countermeasure import JammerConfig, jam_waveform, lowpass
 from .harness import (BerTable, ExperimentConfig, emit_spectrogram,

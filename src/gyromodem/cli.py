@@ -15,9 +15,10 @@ def _parse_payloads(args) -> list:
     if args.text is not None:
         return framing.segment_payloads(args.text.encode("utf-8"))
     bits = [int(c) for c in args.payload if c in "01"]
-    if len(bits) != len(args.payload) or len(bits) % framing.PAYLOAD_BITS:
-        raise ValueError("--payload must be 0/1 characters, a multiple of 12 bits")
-    return [tuple(bits[i:i + 12]) for i in range(0, len(bits), 12)]
+    n = framing.PAYLOAD_BITS
+    if len(bits) != len(args.payload) or len(bits) % n:
+        raise ValueError(f"--payload must be 0/1 characters, a multiple of {n} bits")
+    return [tuple(bits[i:i + n]) for i in range(0, len(bits), n)]
 
 
 def _experiment_config(args) -> harness.ExperimentConfig:

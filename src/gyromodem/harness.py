@@ -20,6 +20,11 @@ from .sigcore import (TONE_FFT_SIZE, ConfigError, GyroTrace, Waveform, from_dict
 DB_FLOOR = -120.0
 
 
+def _is_number(value, kind=(int, float)) -> bool:
+    """A number of the given kind; booleans do not count."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     profile: str
@@ -36,8 +41,15 @@ class ExperimentConfig:
     filter_cutoff: Optional[float] = None
 
     def __post_init__(self):
-        if self.frames_per_point < 1:
-            raise ValueError("frames_per_point must be >= 1")
+        if not _is_number(self.frames_per_point, int) or self.frames_per_point < 1:
+            raise ConfigError(f"frames_per_point must be an integer >= 1, "
+                              f"got {self.frames_per_point!r}")
+        if not _is_number(self.bit_time):
+            raise ConfigError(f"bit_time must be a number, got {self.bit_time!r}")
+        band = self.mfsk_band
+        if not (isinstance(band, tuple) and len(band) == 2
+                and all(map(_is_number, band)) and band[0] < band[1]):
+            raise ConfigError(f"mfsk_band must be two ascending numbers, got {band!r}")
         if self.modulation not in ("bfsk", "mfsk"):
             raise ValueError("modulation must be 'bfsk' or 'mfsk'")
         if self.modulation == "bfsk" and self.order != 2:
@@ -69,12 +81,9 @@ class BerTable:
 
 
 def fsk_config_for(profile: DeviceProfile, cfg: ExperimentConfig) -> FskConfig:
-    if cfg.modulation == "bfsk":
-        return FskConfig(tone_freqs=profile.fsk_pair, bit_time=cfg.bit_time,
-                         amplitude=cfg.amplitude)
-    tones = uniform_tones(cfg.mfsk_band[0], cfg.mfsk_band[1], cfg.order)
-    return FskConfig(tone_freqs=tones, bit_time=cfg.bit_time,
-                     amplitude=cfg.amplitude)
+    tones = (profile.fsk_pair if cfg.modulation == "bfsk"
+             else uniform_tones(*cfg.mfsk_band, cfg.order))
+    return FskConfig(tone_freqs=tones, bit_time=cfg.bit_time, amplitude=cfg.amplitude)
 
 
 def demod_config_for(profile: DeviceProfile, fsk: FskConfig) -> DemodConfig:

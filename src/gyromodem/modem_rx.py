@@ -3,7 +3,8 @@ energy onset and probe-matrix matched filter, parity validation."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from pathlib import Path
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -11,8 +12,6 @@ from . import framing
 from .sigcore import (DEFAULT_GYRO_RATE, TONE_FFT_SIZE, TONE_NOVERLAP,
                       ConfigError, GyroTrace, bin_index, frame_spectra,
                       magnitude_stream, moving_average, tone_power, tone_snr_db)
-
-STREAM_NAMES = ("x", "y", "z", "mag")
 
 DEFAULT_SMOOTHING = 4
 SYNC_AGREEMENT = 0.75
@@ -42,8 +41,7 @@ class DemodConfig:
             raise ConfigError("g_freqs count must be a power of two in [2, 32]")
         if any(f >= self.sample_rate / 2 for f in self.g_freqs):
             raise ConfigError("gyro tone at/above Nyquist")
-        bins = [bin_index(f, self.fft_size, self.sample_rate) for f in self.g_freqs]
-        if len(set(bins)) != len(bins):
+        if len(set(self.bins)) != m:
             raise ConfigError(
                 "adjacent gyro tones collapse onto one FFT bin; raise fft_size")
 
@@ -88,35 +86,11 @@ class RxReport:
     diagnostics: List[str] = field(default_factory=list)
 
 
-def decide_bit(window_symbols: Sequence[int],
-               window_magnitudes: Optional[Sequence[Sequence[float]]] = None) -> int:
-    """Majority vote over per-window symbol decisions; ties break toward the
-    symbol with the larger summed bin magnitude."""
-    symbols = list(window_symbols)
-    if not symbols:
-        raise ValueError("decide_bit needs at least one window decision")
-    counts: Dict[int, int] = {}
-    for s in symbols:
-        counts[s] = counts.get(s, 0) + 1
-    best = max(counts.values())
-    tied = sorted(s for s, c in counts.items() if c == best)
-    if len(tied) == 1 or window_magnitudes is None:
-        return tied[0]
-    sums = {s: 0.0 for s in tied}
-    for mags in window_magnitudes:
-        for s in tied:
-            sums[s] += float(mags[s])
-    return max(tied, key=lambda s: sums[s])
-
-
 def _streams(trace: GyroTrace) -> np.ndarray:
     """Smoothed, detrended x/y/z/magnitude streams, shape (4, n)."""
-    mag = magnitude_stream(trace)
-    raw = np.column_stack([trace.data, mag]).T
-    out = np.empty_like(raw)
-    for i, row in enumerate(raw):
-        out[i] = moving_average(row - row.mean(), DEFAULT_SMOOTHING)
-    return out
+    raw = np.column_stack([trace.data, magnitude_stream(trace)]).T
+    return np.array([moving_average(row - row.mean(), DEFAULT_SMOOTHING)
+                     for row in raw])
 
 
 def _window_stats(streams: np.ndarray, cfg: DemodConfig):
@@ -130,34 +104,43 @@ def _window_stats(streams: np.ndarray, cfg: DemodConfig):
     return np.array(mags), np.array(floors)  # (4, n_win, M), (4,)
 
 
-def _slot_windows(t0: float, slot: int, bit_time: float, centers: np.ndarray) -> np.ndarray:
-    lo = t0 + slot * bit_time
-    return np.nonzero((centers >= lo) & (centers < lo + bit_time))[0]
+def _slot_runs(centers: np.ndarray, lo, width: float):
+    """The windows whose centre lies in [lo, lo + width) are first:stop;
+    centers ascend, and lo may be an array of slot starts."""
+    return np.searchsorted(centers, lo), np.searchsorted(centers, lo + width)
 
 
-def _sync_candidate(decisions: np.ndarray, magnitudes: np.ndarray,
+def _slot_bits(combined: np.ndarray, first: np.ndarray, stop: np.ndarray) -> List[int]:
+    """Majority vote of each slot's windows first:stop of combined (n, 2); an
+    even split goes to the strictly larger tone sum, to 0 on equal sums."""
+    votes = np.concatenate(([0], np.cumsum(combined[:, 1] >= combined[:, 0])))
+    ones, n = votes[stop] - votes[first], stop - first
+    bits = (2 * ones > n).astype(int)
+    for i in np.flatnonzero(2 * ones == n):
+        sums = np.cumsum(combined[first[i]:stop[i]], axis=0)[-1]  # in window order
+        bits[i] = sums[1] > sums[0]
+    return bits.tolist()
+
+
+def _sync_candidate(ones_before: np.ndarray, magnitudes: np.ndarray,
                     floors: np.ndarray, centers: np.ndarray, end_idx: int,
                     cfg: DemodConfig) -> Tuple[float, float, List[int]]:
     """Score the best `1010` preamble alignment ending at window end_idx.
+    ones_before[s, i] counts the windows before i on stream s deciding 1.
 
     Returns (score, preamble start time, matching stream indices); score 0
     with no matches means nothing cleared the agreement threshold."""
     pre_dur = 4 * cfg.bit_time
-    t_end = centers[end_idx]
-    t0 = t_end - pre_dur + cfg.hop / cfg.sample_rate
+    t0 = centers[end_idx] - pre_dur + cfg.hop / cfg.sample_rate
     best: Tuple[float, float, List[int]] = (0.0, t0, [])
     pattern = np.array(framing.SYNC_PATTERN)
-    # the five candidate starts (rows) by the four preamble slots (columns);
-    # centers ascend, so each slot's windows (_slot_windows) are the run
-    # [first centre >= lo, first centre >= lo + bit_time), cut at end_idx
+    # the five candidate starts (rows) by the four preamble slots (columns),
+    # each slot's windows cut at end_idx
     cand_t0 = t0 + np.arange(-2, 3) * cfg.hop / cfg.sample_rate
-    lo = cand_t0[:, None] + np.arange(len(pattern)) * cfg.bit_time
-    first = np.searchsorted(centers, lo)
-    stop = np.minimum(np.searchsorted(centers, lo + cfg.bit_time), end_idx + 1)
+    slot_lo = cand_t0[:, None] + np.arange(len(pattern)) * cfg.bit_time
+    first, stop = _slot_runs(centers, slot_lo, cfg.bit_time)
+    stop = np.minimum(stop, end_idx + 1)
     n = np.maximum(stop - first, 0)
-    # windows deciding 1 in each run, from a running count per stream
-    ones_before = np.zeros((decisions.shape[0], decisions.shape[1] + 1), dtype=np.int64)
-    np.cumsum(decisions, axis=1, out=ones_before[:, 1:])
     ones = ones_before[:, stop] - ones_before[:, first]  # (streams, 5, 4)
     agree = np.where(pattern == 1, ones, n - ones) / np.maximum(n, 1)
     # a stream must agree at the threshold in every slot, and every slot
@@ -170,11 +153,10 @@ def _sync_candidate(decisions: np.ndarray, magnitudes: np.ndarray,
         if not ok[:, c].any():
             continue
         # energy gate: the preamble must actually stand out of the noise
-        span = np.nonzero((centers >= cand_t0[c]) &
-                          (centers < cand_t0[c] + pre_dur))[0]
+        lo, hi = _slot_runs(centers, cand_t0[c], pre_dur)
         matched, score_total = [], 0.0
         for s in np.flatnonzero(ok[:, c]):
-            p = (magnitudes[s, span].max(axis=1) ** 2).mean()
+            p = (magnitudes[s, lo:hi].max(axis=1) ** 2).mean()
             if floors[s] > 0 and p < SYNC_ENERGY_GATE * floors[s]:
                 continue
             if floors[s] <= 0 and p <= 0:
@@ -190,13 +172,15 @@ def _binary_demod(mags: np.ndarray, floors: np.ndarray, centers: np.ndarray,
                   cfg: DemodConfig, trace: GyroTrace) -> RxReport:
     report = RxReport()
     # 0 only when the f0 magnitude strictly dominates; ties decode as 1
-    decisions = (mags[:, :, 1] >= mags[:, :, 0]).astype(np.int8)
+    decisions = mags[:, :, 1] >= mags[:, :, 0]
+    ones_before = np.pad(np.cumsum(decisions, axis=1), ((0, 0), (1, 0)))
     n_win = mags.shape[1]
     n4 = max(int(round(4 * cfg.windows_per_bit)), 4)
     frame_dur = framing.FRAME_BITS * cfg.bit_time
+    payload_lo = np.arange(4, framing.FRAME_BITS) * cfg.bit_time
     k = n4 - 1
     while k < n_win:
-        score, t0, axes = _sync_candidate(decisions, mags, floors, centers,
+        score, t0, axes = _sync_candidate(ones_before, mags, floors, centers,
                                           k, cfg)
         if not axes:
             k += 1
@@ -205,28 +189,20 @@ def _binary_demod(mags: np.ndarray, floors: np.ndarray, centers: np.ndarray,
         # one bit-width further and keep the best-aligned candidate
         lookahead = int(np.ceil(cfg.windows_per_bit))
         for k2 in range(k + 1, min(k + 1 + lookahead, n_win)):
-            s2, t2, a2 = _sync_candidate(decisions, mags, floors, centers,
+            s2, t2, a2 = _sync_candidate(ones_before, mags, floors, centers,
                                          k2, cfg)
             if a2 and s2 > score:
                 score, t0, axes = s2, t2, a2
         report.sync_count += 1
-        bits: List[int] = []
-        truncated = False
-        for slot in range(4, framing.FRAME_BITS):
-            idx = _slot_windows(t0, slot, cfg.bit_time, centers)
-            if len(idx) == 0:
-                truncated = True
-                break
-            combined = mags[axes][:, idx, :].sum(axis=0)  # (n_idx, 2)
-            win_sym = (combined[:, 1] >= combined[:, 0]).astype(int)
-            bits.append(decide_bit(win_sym, combined))
-        if truncated:
+        first, stop = _slot_runs(centers, t0 + payload_lo, cfg.bit_time)
+        if (stop == first).any():
             report.lost_sync_count += 1
             report.diagnostics.append(
                 f"frame at t={t0:.3f}s truncated by end of trace")
             break
-        frame_bits = list(framing.SYNC_PATTERN) + bits
-        payload, valid = framing.decode_frame(frame_bits)
+        combined = mags[axes, first[0]:stop[-1]].sum(axis=0)  # (n, 2)
+        bits = _slot_bits(combined, first - first[0], stop - first[0])
+        payload, valid = framing.decode_frame(list(framing.SYNC_PATTERN) + bits)
         snr = _frame_snr(trace, cfg, t0, frame_dur)
         report.frames.append(RxFrame(payload, valid, snr, t0))
         # resume scanning after this frame
@@ -380,7 +356,6 @@ def demodulate_stream(trace: GyroTrace, cfg: DemodConfig) -> RxReport:
 
 
 def report_to_csv(report: RxReport, destination) -> None:
-    from pathlib import Path
     with Path(destination).open("w", newline="") as fp:
         fp.write("frame_index,payload_bits,parity_valid,snr_db\n")
         for i, fr in enumerate(report.frames):

@@ -87,7 +87,13 @@ class TestExperimentConfig:
         ({"profile": "s10", "jammer": {"f_min": 19000, "f_max": 19077,
                                        "max_volum": 0.5}}, "max_volum"),
         ({"profile": "s10", "filter_cutoff": 0}, "filter_cutoff"),
-    ], ids=["unknown-key", "unknown-jammer-key", "zero-filter-cutoff"])
+        ({"profile": "s10", "mfsk_band": [19000, 19105, 5]}, "mfsk_band"),
+        ({"profile": "s10", "mfsk_band": [19105, 19000]}, "mfsk_band"),
+        ({"profile": "s10", "frames_per_point": 1.0}, "frames_per_point"),
+        ({"profile": "s10", "bit_time": "0.7"}, "bit_time"),
+    ], ids=["unknown-key", "unknown-jammer-key", "zero-filter-cutoff",
+            "three-band-values", "descending-band", "float-frame-count",
+            "string-bit-time"])
     def test_bad_json_names_the_key(self, tmp_path, doc, word):
         path = tmp_path / "exp.json"
         path.write_text(json.dumps(doc))

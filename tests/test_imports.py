@@ -1,4 +1,5 @@
-"""Every top-level import in the package is used (stdlib ast; no linter)."""
+"""Every import in the package is at the top of its module and is used
+(stdlib ast; no linter)."""
 
 import ast
 from pathlib import Path
@@ -42,6 +43,14 @@ def unused_imports(source: str) -> list:
     return [name for name in bound if name not in used]
 
 
+def function_imports(source: str) -> list:
+    """Names of the functions that contain an import statement."""
+    return sorted({fn.name for fn in ast.walk(ast.parse(source))
+                   if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   for node in ast.walk(fn)
+                   if isinstance(node, (ast.Import, ast.ImportFrom))})
+
+
 def test_checker_sees_string_annotations():
     source = ("import os\nimport sys\nfrom typing import List\n"
               "def f(x: 'List[sys.Path]') -> None: pass\n")
@@ -54,3 +63,15 @@ def test_checker_sees_string_annotations():
                          ids=lambda p: p.name)
 def test_no_unused_top_level_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_checker_sees_function_imports():
+    source = ("import os\n"
+              "def f():\n    from pathlib import Path\n    return Path\n"
+              "class C:\n    def g(self):\n        if os:\n            import sys\n")
+    assert function_imports(source) == ["f", "g"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_import_inside_a_function(path):
+    assert function_imports(path.read_text()) == []

@@ -1,5 +1,5 @@
-"""Batch demodulator: sync detection, M-FSK matched filter, bit decisions,
-SNR estimation."""
+"""Batch demodulator: sync detection, B-FSK slot votes, M-FSK matched
+filter, SNR estimation."""
 
 import dataclasses
 
@@ -9,16 +9,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gyromodem import modem_tx
-from gyromodem.channel import ChannelCondition, GyroTrace, apply_channel, get_profile
+from gyromodem.channel import (PAD_SECONDS, ChannelCondition, GyroTrace, apply_channel,
+                               get_profile)
+from gyromodem.framing import FRAME_BITS, SYNC_PATTERN, decode_frame
 from gyromodem.harness import demod_config_for
 from gyromodem.modem_rx import (
     SYNC_AGREEMENT,
     SYNC_ENERGY_GATE,
     DemodConfig,
+    RxFrame,
+    RxReport,
+    _binary_demod,
+    _frame_snr,
+    _slot_bits,
     _sync_candidate,
     _tone_energies,
     _tone_probe,
-    decide_bit,
     demodulate_stream,
     measure_snr,
 )
@@ -67,6 +73,20 @@ class TestDemodulateStream:
         report = demodulate_stream(trace, rx)
         assert [f.payload for f in report.frames] == [PAYLOAD, other]
         assert all(f.parity_valid for f in report.frames)
+
+    def test_cut_in_second_frame_truncated(self):
+        # cut half way through the second frame: its preamble syncs, its
+        # payload slots run off the end of the trace
+        fsk, rx = s10_link()
+        other = tuple(int(b) for b in "001011100011")
+        w = modem_tx.transmit_frames([PAYLOAD, other], fsk, gap=0.5)
+        trace = apply_channel(w, S10, ChannelCondition(snr_db=30, noise_seed=4))
+        cut = int((PAD_SECONDS + 17 * 0.7 + 0.5 + 8.5 * 0.7) * rx.sample_rate)
+        report = demodulate_stream(
+            GyroTrace(trace.t_us[:cut], trace.data[:cut], trace.sample_rate), rx)
+        assert [f.payload for f in report.frames] == [PAYLOAD]
+        assert report.sync_count == 2 and report.lost_sync_count == 1
+        assert report.diagnostics[-1].endswith("truncated by end of trace")
 
     def test_short_trace_empty_report(self):
         fsk, rx = s10_link()
@@ -178,21 +198,30 @@ def synthetic_sync_inputs(flip_per_bit=0):
     return decisions, mags, floors, centers, 31, cfg
 
 
+def ones_before(decisions):
+    """Running count of windows deciding 1, as _binary_demod builds it."""
+    return np.pad(np.cumsum(decisions, axis=1), ((0, 0), (1, 0)))
+
+
+def sync_candidate(decisions, *rest):
+    return _sync_candidate(ones_before(decisions), *rest)
+
+
 class TestDetectSync:
     def test_clean_preamble_found(self):
-        score, t0, streams = _sync_candidate(*synthetic_sync_inputs())
+        score, t0, streams = sync_candidate(*synthetic_sync_inputs())
         assert streams == [0] and score > 0
         assert t0 == pytest.approx(0.128, abs=0.2)
 
     def test_all_zero_not_found(self):
         decisions, mags, floors, centers, end, cfg = synthetic_sync_inputs()
         decisions[:] = 0
-        score, _, streams = _sync_candidate(decisions, mags, floors, centers,
-                                            end, cfg)
+        score, _, streams = sync_candidate(decisions, mags, floors, centers,
+                                           end, cfg)
         assert score == 0 and streams == []
 
     def test_one_flip_per_bit_still_found(self):
-        score, _, streams = _sync_candidate(*synthetic_sync_inputs(flip_per_bit=1))
+        score, _, streams = sync_candidate(*synthetic_sync_inputs(flip_per_bit=1))
         assert streams == [0] and score > 0
 
 
@@ -256,22 +285,121 @@ class TestSyncCandidateReference:
         end = np.searchsorted(centers, onset + 4 * bit_time) - 1 + rng.integers(-2, 3)
         args = (decisions, magnitudes, floors, centers,
                 int(np.clip(end, 0, n_win - 1)), cfg)
-        assert _sync_candidate(*args) == sync_candidate_reference(*args)
+        assert sync_candidate(*args) == sync_candidate_reference(*args)
+
+
+def slot_bit(window_magnitudes):
+    """_slot_bits on one slot holding every window."""
+    combined = np.array(window_magnitudes, dtype=float)
+    return _slot_bits(combined, np.array([0]), np.array([len(combined)]))[0]
 
 
 class TestDecideBit:
     def test_unanimous(self):
-        assert decide_bit([1, 1, 1, 1]) == 1
+        assert slot_bit([(0.1, 0.2), (0.3, 0.3), (0.0, 1.0), (0.5, 0.9)]) == 1
 
     def test_majority(self):
-        assert decide_bit([0, 0, 1]) == 0
+        assert slot_bit([(0.9, 0.1), (0.8, 0.7), (0.1, 5.0)]) == 0
 
     def test_tie_breaks_on_magnitude(self):
-        assert decide_bit([0, 1], [(0.9, 0.1), (0.1, 1.4)]) == 1
+        assert slot_bit([(0.9, 0.1), (0.1, 1.4)]) == 1
+        # equal sums: 1 needs a strictly larger f1 sum
+        assert slot_bit([(0.5, 0.25), (0.25, 0.5)]) == 0
+        # summed window by window both tones reach 1e16; a pairwise f1 sum
+        # would keep the three 1s and reach 1e16 + 2
+        assert slot_bit([(0, 1e16), (0, 1), (1e-300, 0), (1e-300, 0),
+                         (0, 1), (0, 1), (1e16, 0), (1e-300, 0)]) == 0
 
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            decide_bit([])
+
+def decide_bit_reference(window_symbols, window_magnitudes):
+    """Majority vote by a dict of counts; a tie goes to the symbol with the
+    larger magnitude summed window by window as Python floats."""
+    counts = {}
+    for s in window_symbols:
+        counts[s] = counts.get(s, 0) + 1
+    best = max(counts.values())
+    tied = sorted(s for s, c in counts.items() if c == best)
+    if len(tied) == 1:
+        return tied[0]
+    sums = {s: 0.0 for s in tied}
+    for mags in window_magnitudes:
+        for s in tied:
+            sums[s] += float(mags[s])
+    return max(tied, key=lambda s: sums[s])
+
+
+def binary_demod_reference(mags, floors, centers, cfg, trace):
+    """The B-FSK receiver with a nonzero window mask per payload slot."""
+    report = RxReport()
+    decisions = (mags[:, :, 1] >= mags[:, :, 0]).astype(np.int8)
+    n_win = mags.shape[1]
+    n4 = max(int(round(4 * cfg.windows_per_bit)), 4)
+    frame_dur = FRAME_BITS * cfg.bit_time
+    k = n4 - 1
+    while k < n_win:
+        score, t0, axes = sync_candidate_reference(decisions, mags, floors,
+                                                   centers, k, cfg)
+        if not axes:
+            k += 1
+            continue
+        for k2 in range(k + 1, min(k + 1 + int(np.ceil(cfg.windows_per_bit)), n_win)):
+            s2, t2, a2 = sync_candidate_reference(decisions, mags, floors,
+                                                  centers, k2, cfg)
+            if a2 and s2 > score:
+                score, t0, axes = s2, t2, a2
+        report.sync_count += 1
+        bits = []
+        for slot in range(4, FRAME_BITS):
+            lo = t0 + slot * cfg.bit_time
+            idx = np.nonzero((centers >= lo) & (centers < lo + cfg.bit_time))[0]
+            if len(idx) == 0:
+                report.lost_sync_count += 1
+                report.diagnostics.append(
+                    f"frame at t={t0:.3f}s truncated by end of trace")
+                return report
+            combined = mags[axes][:, idx, :].sum(axis=0)
+            symbols = (combined[:, 1] >= combined[:, 0]).astype(int)
+            bits.append(decide_bit_reference(symbols, combined))
+        payload, valid = decode_frame(list(SYNC_PATTERN) + bits)
+        report.frames.append(RxFrame(payload, valid,
+                                     _frame_snr(trace, cfg, t0, frame_dur), t0))
+        k = int(np.searchsorted(centers, t0 + frame_dur)) + n4 - 1
+    return report
+
+
+class TestBinaryDemodReference:
+    @settings(max_examples=60, deadline=None)
+    @given(bit_time=st.floats(0.07, 0.8),
+           n_frames=st.integers(1, 3),
+           integer_mags=st.booleans(),
+           cut=st.floats(0.7, 1.0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_reference(self, bit_time, n_frames, integer_mags, cut, seed):
+        rng = np.random.default_rng(seed)
+        cfg = DemodConfig(bit_time=bit_time, g_freqs=(65.0, 77.0))
+        frame_dur = FRAME_BITS * bit_time
+        onsets = (np.cumsum(rng.uniform(0.1, 2.0, n_frames))
+                  + np.arange(n_frames) * frame_dur)
+        n_win = int(cut * (onsets[-1] + frame_dur + 0.5) * cfg.sample_rate / cfg.hop)
+        centers = (np.arange(n_win) * cfg.hop + cfg.fft_size / 2) / cfg.sample_rate
+        # small integer magnitudes give even splits with equal and unequal
+        # tone sums; uniform ones give sums that depend on summation order
+        if integer_mags:
+            mags = rng.integers(0, 2, (4, n_win, 2)).astype(float)
+        else:
+            mags = rng.uniform(0.0, 2.0, (4, n_win, 2))
+        # a `1010` preamble at each onset, its tone missing in a few windows
+        for onset in onsets:
+            slot = np.floor((centers - onset) / bit_time)
+            for s, want in enumerate(SYNC_PATTERN):
+                idx = np.flatnonzero(slot == s)
+                keep = rng.random((4, len(idx))) < 0.15
+                mags[:, idx, want] = np.where(keep, mags[:, idx, want], 3.0)
+        floors = rng.uniform(0.0, 2.0, 4) * rng.integers(0, 2, 4)
+        n = (n_win - 1) * cfg.hop + cfg.fft_size
+        trace = GyroTrace.from_axes(rng.standard_normal((n, 3)), cfg.sample_rate)
+        args = (mags, floors, centers, cfg, trace)
+        assert _binary_demod(*args) == binary_demod_reference(*args)
 
 
 class TestMeasureSnr:
