@@ -14,15 +14,10 @@ from .channel import ChannelCondition, DeviceProfile, apply_channel, distance_to
 from .countermeasure import JammerConfig, jam_waveform, lowpass
 from .modem_rx import DemodConfig, demodulate_stream
 from .modem_tx import FskConfig, transmit_frames, uniform_tones
-from .sigcore import (TONE_FFT_SIZE, ConfigError, GyroTrace, Waveform, from_dict,
-                      magnitude_stream, stft)
+from .sigcore import (ConfigError, GyroTrace, Waveform, from_dict, magnitude_stream,
+                      stft)
 
 DB_FLOOR = -120.0
-
-
-def _is_number(value, kind=(int, float)) -> bool:
-    """A number of the given kind; booleans do not count."""
-    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -41,15 +36,10 @@ class ExperimentConfig:
     filter_cutoff: Optional[float] = None
 
     def __post_init__(self):
-        if not _is_number(self.frames_per_point, int) or self.frames_per_point < 1:
-            raise ConfigError(f"frames_per_point must be an integer >= 1, "
-                              f"got {self.frames_per_point!r}")
-        if not _is_number(self.bit_time):
-            raise ConfigError(f"bit_time must be a number, got {self.bit_time!r}")
-        band = self.mfsk_band
-        if not (isinstance(band, tuple) and len(band) == 2
-                and all(map(_is_number, band)) and band[0] < band[1]):
-            raise ConfigError(f"mfsk_band must be two ascending numbers, got {band!r}")
+        if self.frames_per_point < 1:
+            raise ConfigError(f"frames_per_point must be >= 1, got {self.frames_per_point}")
+        if not self.mfsk_band[0] < self.mfsk_band[1]:
+            raise ConfigError(f"mfsk_band must ascend, got {self.mfsk_band}")
         if self.modulation not in ("bfsk", "mfsk"):
             raise ValueError("modulation must be 'bfsk' or 'mfsk'")
         if self.modulation == "bfsk" and self.order != 2:
@@ -94,11 +84,7 @@ def demod_config_for(profile: DeviceProfile, fsk: FskConfig) -> DemodConfig:
             raise channel.ChannelError(
                 f"tone {f} Hz outside {profile.name}'s resonance band")
         g.append(gf)
-    # an M-ary grid's tones sit closer than the tone-SNR window's bins
-    fft_size = TONE_FFT_SIZE if fsk.order == 2 else 256
-    noverlap = fft_size * 3 // 4
-    return DemodConfig(bit_time=fsk.bit_time, g_freqs=tuple(g),
-                       fft_size=fft_size, noverlap=noverlap)
+    return DemodConfig(bit_time=fsk.bit_time, g_freqs=tuple(g))
 
 
 def _point_seed(seed: int, *parts: int) -> np.random.Generator:
@@ -170,14 +156,14 @@ def emit_spectrogram(source: Union[Waveform, GyroTrace], fft_size: int,
                      noverlap: int, destination) -> None:
     """CSV matrix: first row frequency bins (Hz), first column frame times
     (s), cells magnitude in dB."""
+    if len(source) == 0:
+        raise ValueError("cannot emit a spectrogram of an empty input")
     if isinstance(source, Waveform):
         x, rate = source.samples, source.sample_rate
     else:
         x = magnitude_stream(source)
         x = x - x.mean()
         rate = source.sample_rate
-    if len(x) == 0:
-        raise ValueError("cannot emit a spectrogram of an empty input")
     spec = stft(x, fft_size, noverlap, window="hann", sample_rate=rate)
     db = 20 * np.log10(np.maximum(spec.magnitudes, 10 ** (DB_FLOOR / 20)))
     with Path(destination).open("w", newline="") as fp:
@@ -190,7 +176,4 @@ def load_experiment_config(source) -> ExperimentConfig:
     """Experiment description as a JSON document keyed by the field names;
     the jammer, when present, is an object keyed by JammerConfig's."""
     with Path(source).open() as fp:
-        doc = json.load(fp)
-    if isinstance(doc, dict) and doc.get("jammer") is not None:
-        doc["jammer"] = from_dict(JammerConfig, doc["jammer"])
-    return from_dict(ExperimentConfig, doc)
+        return from_dict(ExperimentConfig, json.load(fp))

@@ -22,28 +22,32 @@ SYNC_ENERGY_GATE = 4.0
 
 @dataclass(frozen=True)
 class DemodConfig:
-    """Receiver parameters. g_freqs are gyro-domain tone frequencies,
-    ascending; two entries select the binary sliding-window path."""
+    """Receiver parameters for a trace at DEFAULT_GYRO_RATE. g_freqs are
+    gyro-domain tone frequencies, ascending; two entries select the binary
+    sliding-window path."""
 
     bit_time: float
     g_freqs: Tuple[float, ...]
-    sample_rate: int = DEFAULT_GYRO_RATE
-    fft_size: int = TONE_FFT_SIZE
-    noverlap: int = TONE_NOVERLAP
 
     def __post_init__(self):
-        if not 0 <= self.noverlap < self.fft_size:
-            raise ConfigError("noverlap must be in [0, fft_size)")
         if self.windows_per_bit < 1:
             raise ConfigError("bit_time too short: less than one window per bit")
         m = len(self.g_freqs)
         if m < 2 or m & (m - 1) or m > 32:
             raise ConfigError("g_freqs count must be a power of two in [2, 32]")
-        if any(f >= self.sample_rate / 2 for f in self.g_freqs):
+        if any(f >= DEFAULT_GYRO_RATE / 2 for f in self.g_freqs):
             raise ConfigError("gyro tone at/above Nyquist")
         if len(set(self.bins)) != m:
-            raise ConfigError(
-                "adjacent gyro tones collapse onto one FFT bin; raise fft_size")
+            raise ConfigError("adjacent gyro tones collapse onto one FFT bin")
+
+    @property
+    def fft_size(self) -> int:
+        # an M-ary grid's tones sit closer than the tone-SNR window's bins
+        return TONE_FFT_SIZE if self.order == 2 else 256
+
+    @property
+    def noverlap(self) -> int:
+        return self.fft_size * 3 // 4
 
     @property
     def hop(self) -> int:
@@ -51,7 +55,7 @@ class DemodConfig:
 
     @property
     def windows_per_bit(self) -> float:
-        return self.sample_rate * self.bit_time / self.hop
+        return DEFAULT_GYRO_RATE * self.bit_time / self.hop
 
     @property
     def order(self) -> int:
@@ -67,7 +71,7 @@ class DemodConfig:
 
     @property
     def bins(self) -> List[int]:
-        return [bin_index(f, self.fft_size, self.sample_rate) for f in self.g_freqs]
+        return [bin_index(f, self.fft_size, DEFAULT_GYRO_RATE) for f in self.g_freqs]
 
 
 @dataclass
@@ -131,12 +135,12 @@ def _sync_candidate(ones_before: np.ndarray, magnitudes: np.ndarray,
     Returns (score, preamble start time, matching stream indices); score 0
     with no matches means nothing cleared the agreement threshold."""
     pre_dur = 4 * cfg.bit_time
-    t0 = centers[end_idx] - pre_dur + cfg.hop / cfg.sample_rate
+    t0 = centers[end_idx] - pre_dur + cfg.hop / DEFAULT_GYRO_RATE
     best: Tuple[float, float, List[int]] = (0.0, t0, [])
     pattern = np.array(framing.SYNC_PATTERN)
     # the five candidate starts (rows) by the four preamble slots (columns),
     # each slot's windows cut at end_idx
-    cand_t0 = t0 + np.arange(-2, 3) * cfg.hop / cfg.sample_rate
+    cand_t0 = t0 + np.arange(-2, 3) * cfg.hop / DEFAULT_GYRO_RATE
     slot_lo = cand_t0[:, None] + np.arange(len(pattern)) * cfg.bit_time
     first, stop = _slot_runs(centers, slot_lo, cfg.bit_time)
     stop = np.minimum(stop, end_idx + 1)
@@ -244,10 +248,9 @@ def _mary_demod(streams: np.ndarray, mags: np.ndarray, floors: np.ndarray,
     hot = pmax[pmax > gate]
     thresh = max(gate, 0.1 * float(np.median(hot))) if len(hot) else gate
     active = pmax > thresh
-    rate = cfg.sample_rate
     # long enough for any symbol slot after rounding its ends to samples
-    probe = _tone_probe(cfg.g_freqs, rate,
-                        int(np.ceil(cfg.symbol_time * rate)) + 1)
+    probe = _tone_probe(cfg.g_freqs, DEFAULT_GYRO_RATE,
+                        int(np.ceil(cfg.symbol_time * DEFAULT_GYRO_RATE)) + 1)
     k = 0
     n_win = len(centers)
     while k < n_win:
@@ -255,35 +258,29 @@ def _mary_demod(streams: np.ndarray, mags: np.ndarray, floors: np.ndarray,
             k += 1
             continue
         # onset: back up to the window start, demodulate one frame
-        t0 = centers[k] - cfg.fft_size / (2 * rate)
+        t0 = centers[k] - cfg.fft_size / (2 * DEFAULT_GYRO_RATE)
         report.sync_count += 1
-        end_sample = int(round((t0 + frame_dur) * rate))
+        end_sample = int(round((t0 + frame_dur) * DEFAULT_GYRO_RATE))
         if end_sample > streams.shape[1]:
             report.lost_sync_count += 1
             report.diagnostics.append(
                 f"frame at t={t0:.3f}s truncated by end of trace")
             break
-        # refine onset over a grid of window hops; noise ahead of the frame
-        # can fire the onset many hops early, so keep stepping forward while
-        # the best candidate is the last one tried
-        best_delta, best_e, delta = 0, -1.0, -5
+        # refine onset over a grid of window hops, scoring the strongest tone
+        # on the strongest stream summed over the slots in order; noise ahead
+        # of the frame can fire the onset many hops early, so keep stepping
+        # forward while the best candidate is the last one tried
+        best_delta, best_e, best_energies, delta = 0, -1.0, None, -5
         while delta <= 3 or best_delta == delta - 1:
-            e = _frame_matched_energy(streams, t0 + delta * cfg.hop / rate,
-                                      n_symbols, cfg, probe)
+            energies = _slot_energies(
+                streams, t0 + delta * cfg.hop / DEFAULT_GYRO_RATE, n_symbols, cfg, probe)
+            e = -1.0 if energies is None else np.cumsum(energies.max(axis=(1, 2)))[-1]
             if e > best_e:
-                best_delta, best_e = delta, e
+                best_delta, best_e, best_energies = delta, e, energies
             delta += 1
-        best_t0 = t0 + best_delta * cfg.hop / rate
-        symbols = []
-        for s in range(n_symbols):
-            start = int(round((best_t0 + s * cfg.symbol_time) * rate))
-            stop = int(round((best_t0 + (s + 1) * cfg.symbol_time) * rate))
-            start = max(start, 0)
-            stop = min(stop, streams.shape[1])
-            energies = _tone_energies(streams, start, stop, probe).sum(axis=0)
-            symbols.append(int(np.argmax(energies)))
+        best_t0 = t0 + best_delta * cfg.hop / DEFAULT_GYRO_RATE
         bits: List[int] = []
-        for sym in symbols:
+        for sym in best_energies.sum(axis=1).argmax(axis=1):
             bits.extend((sym >> (b - 1 - i)) & 1 for i in range(b))
         payload, valid = framing.decode_frame(bits[:framing.FRAME_BITS])
         snr = _frame_snr(trace, cfg, best_t0, frame_dur)
@@ -292,28 +289,24 @@ def _mary_demod(streams: np.ndarray, mags: np.ndarray, floors: np.ndarray,
     return report
 
 
-def _frame_matched_energy(streams: np.ndarray, t0: float, n_symbols: int,
-                          cfg: DemodConfig, probe: np.ndarray) -> float:
-    """Sum over symbol slots of the strongest tone on the strongest stream;
-    -1 when a slot falls outside the trace."""
-    rate = cfg.sample_rate
-    total = 0.0
-    for s in range(n_symbols):
-        start = int(round((t0 + s * cfg.symbol_time) * rate))
-        stop = int(round((t0 + (s + 1) * cfg.symbol_time) * rate))
-        if start < 0 or stop > streams.shape[1]:
-            return -1.0
-        total += float(_tone_energies(streams, start, stop, probe).max())
-    return total
+def _slot_energies(streams: np.ndarray, t0: float, n_symbols: int,
+                   cfg: DemodConfig, probe: np.ndarray) -> Optional[np.ndarray]:
+    """_tone_energies over each of n_symbols symbol slots from t0, shape
+    (n_symbols, n_streams, M); None when a slot falls outside the trace."""
+    bounds = [int(round((t0 + s * cfg.symbol_time) * DEFAULT_GYRO_RATE))
+              for s in range(n_symbols + 1)]
+    if bounds[0] < 0 or bounds[-1] > streams.shape[1]:
+        return None
+    return np.array([_tone_energies(streams, start, stop, probe)
+                     for start, stop in zip(bounds, bounds[1:])])
 
 
 def _frame_snr(trace: GyroTrace, cfg: DemodConfig, t0: float, dur: float) -> float:
-    rate = cfg.sample_rate
-    start = max(int(t0 * rate), 0)
-    stop = min(int((t0 + dur) * rate), len(trace))
+    start = max(int(t0 * DEFAULT_GYRO_RATE), 0)
+    stop = min(int((t0 + dur) * DEFAULT_GYRO_RATE), len(trace))
     if stop - start < cfg.fft_size:
         start, stop = 0, len(trace)
-    seg = GyroTrace(trace.t_us[start:stop], trace.data[start:stop], rate)
+    seg = GyroTrace(trace.t_us[start:stop], trace.data[start:stop], DEFAULT_GYRO_RATE)
     return measure_snr(seg, cfg.g_freqs, cfg)
 
 
@@ -322,22 +315,22 @@ def measure_snr(trace: GyroTrace, g_freqs: Sequence[float],
     """Gyro-bin SNR estimate: best axis wins. -inf for an all-zero trace."""
     fft_size = cfg.fft_size if cfg else TONE_FFT_SIZE
     noverlap = cfg.noverlap if cfg else TONE_NOVERLAP
-    rate = cfg.sample_rate if cfg else trace.sample_rate
     best = float("-inf")
     for ax in range(3):
         x = trace.data[:, ax]
         x = x - x.mean()
-        best = max(best, tone_snr_db(x, g_freqs, rate, fft_size, noverlap))
+        best = max(best, tone_snr_db(x, g_freqs, trace.sample_rate, fft_size,
+                                      noverlap))
     return best
 
 
 def demodulate_stream(trace: GyroTrace, cfg: DemodConfig) -> RxReport:
     """Run the receiver over a whole trace and report every decoded frame."""
-    if trace.sample_rate != cfg.sample_rate:
+    if trace.sample_rate != DEFAULT_GYRO_RATE:
         raise ConfigError(
-            f"trace rate {trace.sample_rate} != receiver rate {cfg.sample_rate}")
+            f"trace rate {trace.sample_rate} != receiver rate {DEFAULT_GYRO_RATE}")
     report = RxReport()
-    frame_samples = framing.FRAME_BITS * cfg.bit_time * cfg.sample_rate
+    frame_samples = framing.FRAME_BITS * cfg.bit_time * DEFAULT_GYRO_RATE
     if len(trace) < cfg.fft_size or len(trace) < frame_samples:
         report.diagnostics.append(
             f"trace of {len(trace)} samples shorter than one frame; nothing decoded")
@@ -345,11 +338,11 @@ def demodulate_stream(trace: GyroTrace, cfg: DemodConfig) -> RxReport:
     streams = _streams(trace)
     mags, floors = _window_stats(streams, cfg)
     n_win = mags.shape[1]
-    centers = (np.arange(n_win) * cfg.hop + cfg.fft_size / 2) / cfg.sample_rate
+    centers = (np.arange(n_win) * cfg.hop + cfg.fft_size / 2) / DEFAULT_GYRO_RATE
     if cfg.order == 2:
         return _binary_demod(mags, floors, centers, cfg, trace)
     # matched filtering must see the unsmoothed axes: the smoothing moving
-    # average has spectral nulls at multiples of sample_rate /
+    # average has spectral nulls at multiples of DEFAULT_GYRO_RATE /
     # DEFAULT_SMOOTHING, which can land on the upper tones of a wide M-ary grid
     raw = trace.data.T - trace.data.T.mean(axis=1, keepdims=True)
     return _mary_demod(raw, mags, floors, centers, cfg, trace)

@@ -6,9 +6,9 @@ Everything here is a pure function over immutable inputs; no global state.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, is_dataclass
 from functools import lru_cache
-from typing import Sequence, Tuple
+from typing import Sequence, Tuple, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -31,7 +31,8 @@ class ConfigError(ValueError):
 
 def from_dict(cls, doc):
     """Frozen dataclass cls from a JSON object keyed by its field names.
-    Lists become tuples; absent keys take the dataclass defaults."""
+    Absent keys take the dataclass defaults; each value is checked against
+    its field's annotation by _typed_value."""
     if not isinstance(doc, dict):
         raise ConfigError(f"{cls.__name__}: expected a JSON object, "
                           f"got {type(doc).__name__}")
@@ -40,7 +41,33 @@ def from_dict(cls, doc):
     if unknown:
         raise ConfigError(f"{cls.__name__}: unknown key(s) {', '.join(unknown)}; "
                           f"expected some of {', '.join(names)}")
-    return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in doc.items()})
+    hints = get_type_hints(cls)
+    return cls(**{k: _typed_value(f"{cls.__name__}.{k}", hints[k], v)
+                  for k, v in doc.items()})
+
+
+def _typed_value(name: str, kind, value):
+    """value as a field annotated kind takes it: int, float (an int will
+    do), str, Tuple[X, ...], Tuple[X, Y], Optional[X] or a dataclass, loaded
+    by from_dict. Lists become tuples; booleans are not numbers."""
+    args = get_args(kind)
+    if get_origin(kind) is Union:  # Optional[X]
+        return None if value is None else _typed_value(name, args[0], value)
+    if get_origin(kind) is tuple:
+        if isinstance(value, (list, tuple)):
+            items = args[:1] * len(value) if args[-1:] == (Ellipsis,) else args
+            if len(items) == len(value):
+                return tuple(_typed_value(f"{name}[{i}]", t, v)
+                             for i, (t, v) in enumerate(zip(items, value)))
+    elif is_dataclass(kind):
+        if isinstance(value, dict):
+            return from_dict(kind, value)
+    elif isinstance(value, bool) and kind in (int, float):
+        pass
+    elif isinstance(value, (int, float) if kind is float else kind):
+        return value
+    expected = kind.__name__ if isinstance(kind, type) else str(kind).replace("typing.", "")
+    raise ConfigError(f"{name} must be {expected}, got {value!r}")
 
 
 @dataclass(frozen=True)

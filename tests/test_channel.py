@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import signal as sps
 
 from gyromodem import modem_rx, modem_tx
@@ -237,6 +238,19 @@ class TestSerialization:
         assert np.array_equal(back.t_us, trace.t_us)
         assert np.allclose(back.data, trace.data, atol=1e-9)
 
+    @settings(max_examples=40, deadline=None)
+    @given(data=arrays(np.float64, st.tuples(st.integers(2, 400), st.just(3)),
+                       elements=st.floats(allow_nan=False, allow_infinity=False)),
+           rate=st.sampled_from((250, 500, 1000)))
+    def test_random_trace_csv_round_trip(self, tmp_path_factory, data, rate):
+        trace = GyroTrace.from_axes(data, rate)
+        path = tmp_path_factory.mktemp("csv") / "trace.csv"
+        write_trace_csv(trace, path)
+        back = read_trace_csv(path)
+        assert np.array_equal(back.t_us, trace.t_us)
+        assert np.array_equal(back.data, trace.data)
+        assert back.sample_rate == rate
+
     def test_nan_cell_rejected(self, tmp_path):
         path = tmp_path / "trace.csv"
         path.write_text("t_us,x,y,z\n0,0.1,0.2,0.3\n2000,nan,0.2,0.3\n")
@@ -256,6 +270,13 @@ class TestSerialization:
         path = tmp_path / "s9.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(ConfigError, match="gyro_max_frq"):
+            load_profile(path)
+
+    def test_profile_string_number_rejected(self, tmp_path):
+        doc = dict(dataclasses.asdict(S9), band_lo="20050")
+        path = tmp_path / "s9.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match="DeviceProfile.band_lo"):
             load_profile(path)
 
     def test_unknown_profile_lists_names(self):

@@ -2,12 +2,13 @@
 
 import dataclasses
 import json
+import typing
 
 import numpy as np
 import pytest
 
 from gyromodem import modem_rx, modem_tx
-from gyromodem.channel import ChannelCondition, apply_channel, get_profile
+from gyromodem.channel import ChannelCondition, DeviceProfile, apply_channel, get_profile
 from gyromodem.countermeasure import JammerConfig
 from gyromodem.harness import (
     DB_FLOOR,
@@ -19,7 +20,7 @@ from gyromodem.harness import (
     run_ber_experiment,
     run_point,
 )
-from gyromodem.sigcore import ConfigError, Waveform, generate_chirp
+from gyromodem.sigcore import ConfigError, GyroTrace, Waveform, from_dict, generate_chirp
 
 
 def read_matrix(path):
@@ -91,14 +92,53 @@ class TestExperimentConfig:
         ({"profile": "s10", "mfsk_band": [19105, 19000]}, "mfsk_band"),
         ({"profile": "s10", "frames_per_point": 1.0}, "frames_per_point"),
         ({"profile": "s10", "bit_time": "0.7"}, "bit_time"),
+        ({"profile": "s10", "distances_cm": "50"}, "ExperimentConfig.distances_cm"),
+        ({"profile": "s10", "seed": 1.5}, "ExperimentConfig.seed"),
+        ({"profile": "s10", "amplitude": "0.5"}, "ExperimentConfig.amplitude"),
+        ({"profile": "s10", "jammer": {"f_min": "19000", "f_max": 19077}},
+         "JammerConfig.f_min"),
     ], ids=["unknown-key", "unknown-jammer-key", "zero-filter-cutoff",
             "three-band-values", "descending-band", "float-frame-count",
-            "string-bit-time"])
+            "string-bit-time", "string-distances", "float-seed", "string-amplitude",
+            "string-jammer-f-min"])
     def test_bad_json_names_the_key(self, tmp_path, doc, word):
         path = tmp_path / "exp.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(ConfigError, match=word):
             load_experiment_config(path)
+
+
+FULL_CONFIG = ExperimentConfig(
+    profile="s10_mfsk", modulation="mfsk", order=32, bit_time=0.5, room="narrow",
+    distances_cm=(100.0, 300.0), frames_per_point=4, seed=9,
+    mfsk_band=(19010.0, 19100.0), filter_cutoff=21000.0,
+    jammer=JammerConfig(f_min=19000.0, f_max=19077.0, T=0.5, max_volume=0.3,
+                        seed=2, volume=0.1))
+VALID = {ExperimentConfig: FULL_CONFIG, JammerConfig: FULL_CONFIG.jammer,
+         DeviceProfile: get_profile("s9")}
+
+
+def wrong_typed_fields():
+    """Every field of the JSON-loaded configs, each with True (booleans are
+    not numbers) and with a value of another JSON type."""
+    for cls in VALID:
+        hints = typing.get_type_hints(cls)
+        for f in dataclasses.fields(cls):
+            for bad in (True, 1 if hints[f.name] is str else "1"):
+                yield pytest.param(cls, f.name, bad, id=f"{cls.__name__}.{f.name}={bad!r}")
+
+
+class TestFromDict:
+    @pytest.mark.parametrize("cls", list(VALID), ids=lambda c: c.__name__)
+    def test_json_doc_loads(self, cls):
+        doc = json.loads(json.dumps(dataclasses.asdict(VALID[cls])))
+        assert from_dict(cls, doc) == VALID[cls]
+
+    @pytest.mark.parametrize("cls, name, bad", wrong_typed_fields())
+    def test_wrong_type_names_the_field(self, cls, name, bad):
+        doc = dict(dataclasses.asdict(VALID[cls]), **{name: bad})
+        with pytest.raises(ConfigError, match=rf"^{cls.__name__}\.{name} "):
+            from_dict(cls, doc)
 
 
 class TestRunBerExperiment:
@@ -151,6 +191,12 @@ class TestEmitSpectrogram:
         emit_spectrogram(Waveform(np.zeros(48000), 48000), 1024, 0, path)
         _, _, cells = read_matrix(path)
         assert np.all(cells == DB_FLOOR)
+
+    def test_empty_trace_rejected_first(self, tmp_path):
+        # no detrend of an empty stream, so no "Mean of empty slice" warning
+        with pytest.raises(ValueError, match="empty"):
+            emit_spectrogram(GyroTrace.from_axes(np.zeros((0, 3))), 128, 96,
+                             tmp_path / "empty.csv")
 
     def test_chirp_ridge_rises(self, tmp_path):
         path = tmp_path / "chirp.csv"

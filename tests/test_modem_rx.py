@@ -21,14 +21,17 @@ from gyromodem.modem_rx import (
     RxReport,
     _binary_demod,
     _frame_snr,
+    _mary_demod,
     _slot_bits,
+    _streams,
     _sync_candidate,
     _tone_energies,
     _tone_probe,
+    _window_stats,
     demodulate_stream,
     measure_snr,
 )
-from gyromodem.sigcore import Waveform
+from gyromodem.sigcore import DEFAULT_GYRO_RATE, ConfigError, Waveform
 
 S10 = get_profile("s10")
 PAYLOAD = tuple(int(b) for b in "110100110100")
@@ -81,12 +84,18 @@ class TestDemodulateStream:
         other = tuple(int(b) for b in "001011100011")
         w = modem_tx.transmit_frames([PAYLOAD, other], fsk, gap=0.5)
         trace = apply_channel(w, S10, ChannelCondition(snr_db=30, noise_seed=4))
-        cut = int((PAD_SECONDS + 17 * 0.7 + 0.5 + 8.5 * 0.7) * rx.sample_rate)
+        cut = int((PAD_SECONDS + 17 * 0.7 + 0.5 + 8.5 * 0.7) * DEFAULT_GYRO_RATE)
         report = demodulate_stream(
             GyroTrace(trace.t_us[:cut], trace.data[:cut], trace.sample_rate), rx)
         assert [f.payload for f in report.frames] == [PAYLOAD]
         assert report.sync_count == 2 and report.lost_sync_count == 1
         assert report.diagnostics[-1].endswith("truncated by end of trace")
+
+    def test_other_rate_rejected(self):
+        fsk, rx = s10_link()
+        trace = GyroTrace.from_axes(np.zeros((5000, 3)), 250)
+        with pytest.raises(ConfigError, match="250 != receiver rate 500"):
+            demodulate_stream(trace, rx)
 
     def test_short_trace_empty_report(self):
         fsk, rx = s10_link()
@@ -136,7 +145,7 @@ class TestDemodulateStream:
         tones = modem_tx.uniform_tones(19000.0, 19105.0, 32)
         fsk = modem_tx.FskConfig(tone_freqs=tones, bit_time=0.7)
         rx = demod_config_for(prof, fsk)
-        hop_s = rx.hop / rx.sample_rate
+        hop_s = rx.hop / DEFAULT_GYRO_RATE
         w = modem_tx.transmit_frames([PAYLOAD], fsk, gap=0.0)
         clean = demodulate_stream(apply_channel(w, prof, ChannelCondition()), rx)
         onset = clean.frames[0].start_time
@@ -194,7 +203,7 @@ def synthetic_sync_inputs(flip_per_bit=0):
             decisions[0, bad] ^= 1
     floors = np.array([0.001])
     hop = cfg.fft_size - cfg.noverlap
-    centers = (np.arange(n_win) * hop + cfg.fft_size / 2) / cfg.sample_rate
+    centers = (np.arange(n_win) * hop + cfg.fft_size / 2) / DEFAULT_GYRO_RATE
     return decisions, mags, floors, centers, 31, cfg
 
 
@@ -228,10 +237,10 @@ class TestDetectSync:
 def sync_candidate_reference(decisions, magnitudes, floors, centers, end_idx, cfg):
     """The preamble search written stream by stream and slot by slot."""
     pre_dur = 4 * cfg.bit_time
-    t0 = centers[end_idx] - pre_dur + cfg.hop / cfg.sample_rate
+    t0 = centers[end_idx] - pre_dur + cfg.hop / DEFAULT_GYRO_RATE
     best = (0.0, t0, [])
     for delta in (-2, -1, 0, 1, 2):
-        cand_t0 = t0 + delta * cfg.hop / cfg.sample_rate
+        cand_t0 = t0 + delta * cfg.hop / DEFAULT_GYRO_RATE
         matched, score_total = [], 0.0
         for s in range(decisions.shape[0]):
             score, ok = 0.0, True
@@ -272,7 +281,7 @@ class TestSyncCandidateReference:
         rng = np.random.default_rng(seed)
         cfg = DemodConfig(bit_time=bit_time, g_freqs=(65.0, 77.0))
         n_win = int(4 * cfg.windows_per_bit) + extra_windows
-        centers = (np.arange(n_win) * cfg.hop + cfg.fft_size / 2) / cfg.sample_rate
+        centers = (np.arange(n_win) * cfg.hop + cfg.fft_size / 2) / DEFAULT_GYRO_RATE
         # a `1010` preamble at a random onset on every stream, then random
         # flips; the search ends within two windows of the preamble's end
         onset = rng.uniform(-bit_time / 4, centers[-1] - 3.5 * bit_time)
@@ -380,8 +389,8 @@ class TestBinaryDemodReference:
         frame_dur = FRAME_BITS * bit_time
         onsets = (np.cumsum(rng.uniform(0.1, 2.0, n_frames))
                   + np.arange(n_frames) * frame_dur)
-        n_win = int(cut * (onsets[-1] + frame_dur + 0.5) * cfg.sample_rate / cfg.hop)
-        centers = (np.arange(n_win) * cfg.hop + cfg.fft_size / 2) / cfg.sample_rate
+        n_win = int(cut * (onsets[-1] + frame_dur + 0.5) * DEFAULT_GYRO_RATE / cfg.hop)
+        centers = (np.arange(n_win) * cfg.hop + cfg.fft_size / 2) / DEFAULT_GYRO_RATE
         # small integer magnitudes give even splits with equal and unequal
         # tone sums; uniform ones give sums that depend on summation order
         if integer_mags:
@@ -397,9 +406,105 @@ class TestBinaryDemodReference:
                 mags[:, idx, want] = np.where(keep, mags[:, idx, want], 3.0)
         floors = rng.uniform(0.0, 2.0, 4) * rng.integers(0, 2, 4)
         n = (n_win - 1) * cfg.hop + cfg.fft_size
-        trace = GyroTrace.from_axes(rng.standard_normal((n, 3)), cfg.sample_rate)
+        trace = GyroTrace.from_axes(rng.standard_normal((n, 3)), DEFAULT_GYRO_RATE)
         args = (mags, floors, centers, cfg, trace)
         assert _binary_demod(*args) == binary_demod_reference(*args)
+
+
+def frame_matched_energy_reference(streams, t0, n_symbols, cfg, probe):
+    """Sum over symbol slots of the strongest tone on the strongest stream;
+    -1 when a slot falls outside the trace."""
+    rate = DEFAULT_GYRO_RATE
+    total = 0.0
+    for s in range(n_symbols):
+        start = int(round((t0 + s * cfg.symbol_time) * rate))
+        stop = int(round((t0 + (s + 1) * cfg.symbol_time) * rate))
+        if start < 0 or stop > streams.shape[1]:
+            return -1.0
+        total += float(_tone_energies(streams, start, stop, probe).max())
+    return total
+
+
+def mary_demod_reference(streams, mags, floors, centers, cfg, trace):
+    """The M-FSK receiver that scores each onset candidate in one slot loop
+    and decodes the winner in a second, clamped one."""
+    report = RxReport()
+    b = cfg.bits_per_symbol
+    n_symbols = -(-FRAME_BITS // b)
+    frame_dur = n_symbols * cfg.symbol_time
+    power = (mags.max(axis=2) ** 2)
+    floor = np.maximum(floors, 1e-30)[:, None]
+    pmax = power.max(axis=0)
+    gate = SYNC_ENERGY_GATE * floor.max()
+    hot = pmax[pmax > gate]
+    thresh = max(gate, 0.1 * float(np.median(hot))) if len(hot) else gate
+    active = pmax > thresh
+    rate = DEFAULT_GYRO_RATE
+    probe = _tone_probe(cfg.g_freqs, rate, int(np.ceil(cfg.symbol_time * rate)) + 1)
+    k = 0
+    while k < len(centers):
+        if not active[k]:
+            k += 1
+            continue
+        t0 = centers[k] - cfg.fft_size / (2 * rate)
+        report.sync_count += 1
+        if int(round((t0 + frame_dur) * rate)) > streams.shape[1]:
+            report.lost_sync_count += 1
+            report.diagnostics.append(f"frame at t={t0:.3f}s truncated by end of trace")
+            break
+        best_delta, best_e, delta = 0, -1.0, -5
+        while delta <= 3 or best_delta == delta - 1:
+            e = frame_matched_energy_reference(streams, t0 + delta * cfg.hop / rate,
+                                               n_symbols, cfg, probe)
+            if e > best_e:
+                best_delta, best_e = delta, e
+            delta += 1
+        best_t0 = t0 + best_delta * cfg.hop / rate
+        bits = []
+        for s in range(n_symbols):
+            start = int(round((best_t0 + s * cfg.symbol_time) * rate))
+            stop = int(round((best_t0 + (s + 1) * cfg.symbol_time) * rate))
+            start = max(start, 0)
+            stop = min(stop, streams.shape[1])
+            sym = int(np.argmax(_tone_energies(streams, start, stop, probe).sum(axis=0)))
+            bits.extend((sym >> (b - 1 - i)) & 1 for i in range(b))
+        payload, valid = decode_frame(bits[:FRAME_BITS])
+        report.frames.append(RxFrame(payload, valid,
+                                     _frame_snr(trace, cfg, best_t0, frame_dur), best_t0))
+        k = int(np.searchsorted(centers, best_t0 + frame_dur + cfg.symbol_time / 4))
+    return report
+
+
+def mary_args(trace, cfg):
+    """_mary_demod's inputs, built as demodulate_stream builds them."""
+    mags, floors = _window_stats(_streams(trace), cfg)
+    centers = (np.arange(mags.shape[1]) * cfg.hop + cfg.fft_size / 2) / DEFAULT_GYRO_RATE
+    raw = trace.data.T - trace.data.T.mean(axis=1, keepdims=True)
+    return raw, mags, floors, centers, cfg, trace
+
+
+class TestMaryDemodReference:
+    @pytest.mark.parametrize("bit_time", [0.7, 0.35])
+    @pytest.mark.parametrize("order", [4, 8, 16, 32])
+    def test_matches_reference(self, order, bit_time):
+        prof = get_profile("s10_mfsk")
+        tones = modem_tx.uniform_tones(19000.0, 19105.0, order)
+        fsk = modem_tx.FskConfig(tone_freqs=tones, bit_time=bit_time)
+        rx = demod_config_for(prof, fsk)
+        other = tuple(int(b) for b in "001011100011")
+        w = modem_tx.transmit_frames([PAYLOAD, other], fsk, gap=0.5)
+        reports = []
+        for snr_db in (None, 18, 10, 5):
+            trace = apply_channel(w, prof, ChannelCondition(snr_db=snr_db, noise_seed=order))
+            # whole, cut in the second frame, cut in the first frame
+            for cut in (1.0, 0.75, 0.45):
+                n = int(cut * len(trace))
+                part = GyroTrace(trace.t_us[:n], trace.data[:n], trace.sample_rate)
+                args = mary_args(part, rx)
+                reports.append(_mary_demod(*args))
+                assert reports[-1] == mary_demod_reference(*args)
+        assert sum(len(r.frames) for r in reports) >= 12
+        assert sum(r.lost_sync_count for r in reports) >= 4
 
 
 class TestMeasureSnr:

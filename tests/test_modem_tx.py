@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from gyromodem import channel
 from gyromodem.modem_tx import (
@@ -16,7 +19,7 @@ from gyromodem.modem_tx import (
     transmit_frames,
     uniform_tones,
 )
-from gyromodem.sigcore import stft
+from gyromodem.sigcore import Waveform, stft
 
 S10 = channel.get_profile("s10")
 
@@ -154,3 +157,13 @@ class TestWavInterchange:
         back = import_wav(path)
         assert back.sample_rate == 48000
         assert np.max(np.abs(back.samples - w.samples)) <= 1 / 32767
+
+    @settings(max_examples=40, deadline=None)
+    @given(samples=arrays(np.float64, st.integers(1, 400),
+                          elements=st.floats(-1.0, 1.0)))
+    def test_random_samples_round_trip(self, tmp_path_factory, samples):
+        path = tmp_path_factory.mktemp("wav") / "random.wav"
+        export_wav(Waveform(samples, 48000), path)
+        back = import_wav(path)
+        assert back.sample_rate == 48000 and len(back) == len(samples)
+        assert np.max(np.abs(back.samples - samples)) <= 1 / 32767
