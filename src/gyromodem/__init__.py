@@ -1,8 +1,7 @@
 """Ultrasonic speaker-to-gyroscope covert channel: FSK modem, channel
 simulator, calibration sweep, countermeasures, and experiment harness."""
 
-from .sigcore import (GyroTrace, Spectrogram, Waveform, generate_chirp,
-                      generate_sine, moving_average, stft)
+from .sigcore import GyroTrace, Waveform, generate_chirp, generate_sine, moving_average
 from .framing import (FRAME_BITS, PAYLOAD_BITS, SYNC_PATTERN, compute_parity,
                       decode_frame, encode_frame, segment_payloads)
 from .modem_tx import (FskConfig, export_wav, import_wav, modulate,

@@ -8,7 +8,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .sigcore import TONE_FFT_SIZE, TONE_NOVERLAP, GyroTrace, frame_spectra
+from .sigcore import TONE_FFT_SIZE, GyroTrace, frame_spectra
 
 DEFAULT_THRESHOLD_DB = 10.0
 
@@ -40,11 +40,11 @@ def find_resonance_band(trace: GyroTrace, scan: Tuple[float, float, float],
     energy = None
     for ax in range(3):
         x = trace.data[:, ax]
-        mag = np.abs(frame_spectra(x - x.mean(), TONE_FFT_SIZE, TONE_NOVERLAP))
+        mag = np.abs(frame_spectra(x - x.mean(), TONE_FFT_SIZE))
         p = (mag[:, 1:] ** 2).sum(axis=1)  # skip DC
         energy = p if energy is None else energy + p
     # frame centers
-    hop = TONE_FFT_SIZE - TONE_NOVERLAP
+    hop = TONE_FFT_SIZE // 4
     times = hop * np.arange(len(energy)) / rate + TONE_FFT_SIZE / (2 * rate)
     chirp_rate = (f_end - f_start) / duration
     freqs = f_start + chirp_rate * (times - chirp_start)

@@ -22,9 +22,9 @@ import numpy as np
 from scipy import ndimage
 from scipy import signal as sps
 
-from .sigcore import (DEFAULT_GYRO_RATE, TONE_FFT_SIZE, TONE_NOVERLAP, GyroTrace,
-                      Waveform, active_snr_db, bin_index, frame_spectra,
-                      from_dict, tone_power)
+from .sigcore import (DEFAULT_GYRO_RATE, TONE_FFT_SIZE, GyroTrace, Waveform,
+                      active_snr_db, bin_index, frame_spectra, from_dict,
+                      tone_power)
 
 # Critical in-band drive level past which the MEMS resonance response
 # collapses. Units are complex-envelope acoustic amplitude: a full-scale
@@ -279,9 +279,8 @@ def _calibrate_sigma(clean: np.ndarray, unit_noise: np.ndarray,
     # clean and unit-noise spectra once and evaluate every candidate sigma
     # without another FFT
     gbins = [bin_index(f, TONE_FFT_SIZE, DEFAULT_GYRO_RATE) for f in g_freqs]
-    spec_pairs = [(frame_spectra(clean[:, ax], TONE_FFT_SIZE, TONE_NOVERLAP),
-                   frame_spectra(unit_noise[:, ax], TONE_FFT_SIZE, TONE_NOVERLAP))
-                  for ax in axes]
+    spec_pairs = [(frame_spectra(clean[:, ax], TONE_FFT_SIZE),
+                   frame_spectra(unit_noise[:, ax], TONE_FFT_SIZE)) for ax in axes]
 
     def measured(sigma: float) -> float:
         return max(active_snr_db(*tone_power(np.abs(sc + sigma * sn) ** 2, gbins))

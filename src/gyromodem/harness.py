@@ -14,8 +14,7 @@ from .channel import ChannelCondition, DeviceProfile, apply_channel, distance_to
 from .countermeasure import JammerConfig, jam_waveform, lowpass
 from .modem_rx import DemodConfig, demodulate_stream
 from .modem_tx import FskConfig, transmit_frames, uniform_tones
-from .sigcore import (ConfigError, GyroTrace, Waveform, from_dict, magnitude_stream,
-                      stft)
+from .sigcore import ConfigError, GyroTrace, Waveform, frames, from_dict, magnitude_stream
 
 DB_FLOOR = -120.0
 
@@ -41,9 +40,9 @@ class ExperimentConfig:
         if not self.mfsk_band[0] < self.mfsk_band[1]:
             raise ConfigError(f"mfsk_band must ascend, got {self.mfsk_band}")
         if self.modulation not in ("bfsk", "mfsk"):
-            raise ValueError("modulation must be 'bfsk' or 'mfsk'")
+            raise ConfigError(f"modulation must be 'bfsk' or 'mfsk', got {self.modulation!r}")
         if self.modulation == "bfsk" and self.order != 2:
-            raise ValueError("bfsk implies order 2")
+            raise ConfigError(f"bfsk implies order 2, got {self.order}")
         if self.filter_cutoff is not None and self.filter_cutoff <= 0:
             raise ConfigError(f"filter_cutoff must be positive or null, "
                               f"got {self.filter_cutoff}")
@@ -154,8 +153,8 @@ def effective_data_rate(bit_time: float,
 
 def emit_spectrogram(source: Union[Waveform, GyroTrace], fft_size: int,
                      noverlap: int, destination) -> None:
-    """CSV matrix: first row frequency bins (Hz), first column frame times
-    (s), cells magnitude in dB."""
+    """CSV matrix: first row frequency bins (Hz), first column frame start
+    times (s), cells Hann-window magnitude in dB."""
     if len(source) == 0:
         raise ValueError("cannot emit a spectrogram of an empty input")
     if isinstance(source, Waveform):
@@ -164,11 +163,13 @@ def emit_spectrogram(source: Union[Waveform, GyroTrace], fft_size: int,
         x = magnitude_stream(source)
         x = x - x.mean()
         rate = source.sample_rate
-    spec = stft(x, fft_size, noverlap, window="hann", sample_rate=rate)
-    db = 20 * np.log10(np.maximum(spec.magnitudes, 10 ** (DB_FLOOR / 20)))
+    spectra = np.fft.rfft(frames(x, fft_size, noverlap) * np.hanning(fft_size), axis=1)
+    db = 20 * np.log10(np.maximum(np.abs(spectra), 10 ** (DB_FLOOR / 20)))
+    times = (fft_size - noverlap) * np.arange(len(db)) / rate
+    freqs = np.fft.rfftfreq(fft_size, d=1.0 / rate)
     with Path(destination).open("w", newline="") as fp:
-        fp.write("time_s," + ",".join(f"{f:.3f}" for f in spec.freqs) + "\n")
-        for t, row in zip(spec.times, db):
+        fp.write("time_s," + ",".join(f"{f:.3f}" for f in freqs) + "\n")
+        for t, row in zip(times, db):
             fp.write(f"{t:.6f}," + ",".join(f"{v:.2f}" for v in row) + "\n")
 
 

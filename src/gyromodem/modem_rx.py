@@ -9,9 +9,9 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import framing
-from .sigcore import (DEFAULT_GYRO_RATE, TONE_FFT_SIZE, TONE_NOVERLAP,
-                      ConfigError, GyroTrace, bin_index, frame_spectra,
-                      magnitude_stream, moving_average, tone_power, tone_snr_db)
+from .sigcore import (DEFAULT_GYRO_RATE, TONE_FFT_SIZE, ConfigError, GyroTrace,
+                      active_snr_db, bin_index, frame_spectra, magnitude_stream,
+                      moving_average, tone_power)
 
 DEFAULT_SMOOTHING = 4
 SYNC_AGREEMENT = 0.75
@@ -46,12 +46,8 @@ class DemodConfig:
         return TONE_FFT_SIZE if self.order == 2 else 256
 
     @property
-    def noverlap(self) -> int:
-        return self.fft_size * 3 // 4
-
-    @property
     def hop(self) -> int:
-        return self.fft_size - self.noverlap
+        return self.fft_size // 4
 
     @property
     def windows_per_bit(self) -> float:
@@ -102,7 +98,7 @@ def _window_stats(streams: np.ndarray, cfg: DemodConfig):
     floor (sigcore.tone_power)."""
     mags, floors = [], []
     for row in streams:
-        mag = np.abs(frame_spectra(row, cfg.fft_size, cfg.noverlap))
+        mag = np.abs(frame_spectra(row, cfg.fft_size))
         floors.append(tone_power(mag ** 2, cfg.bins)[1])
         mags.append(mag[:, cfg.bins])
     return np.array(mags), np.array(floors)  # (4, n_win, M), (4,)
@@ -312,16 +308,12 @@ def _frame_snr(trace: GyroTrace, cfg: DemodConfig, t0: float, dur: float) -> flo
 
 def measure_snr(trace: GyroTrace, g_freqs: Sequence[float],
                 cfg: Optional[DemodConfig] = None) -> float:
-    """Gyro-bin SNR estimate: best axis wins. -inf for an all-zero trace."""
+    """Gyro-bin SNR estimate (sigcore.active_snr_db of each detrended axis):
+    best axis wins. -inf for an all-zero trace."""
     fft_size = cfg.fft_size if cfg else TONE_FFT_SIZE
-    noverlap = cfg.noverlap if cfg else TONE_NOVERLAP
-    best = float("-inf")
-    for ax in range(3):
-        x = trace.data[:, ax]
-        x = x - x.mean()
-        best = max(best, tone_snr_db(x, g_freqs, trace.sample_rate, fft_size,
-                                      noverlap))
-    return best
+    bins = [bin_index(f, fft_size, trace.sample_rate) for f in g_freqs]
+    powers = (np.abs(frame_spectra(x - x.mean(), fft_size)) ** 2 for x in trace.data.T)
+    return max(active_snr_db(*tone_power(p, bins)) for p in powers)
 
 
 def demodulate_stream(trace: GyroTrace, cfg: DemodConfig) -> RxReport:

@@ -1,12 +1,14 @@
-"""Core DSP primitives: tone/chirp synthesis, STFT, smoothing, and the one
-tone-SNR core (frame spectra, tone/floor power, active-frame dB) that the
-channel simulator, the receiver and the band sweep share.
+"""Core DSP primitives: tone/chirp synthesis, smoothing, the one framing
+rule, and the one tone-SNR core (frame spectra, tone/floor power,
+active-frame dB) that the channel simulator, the receiver and the band sweep
+share.
 
 Everything here is a pure function over immutable inputs; no global state.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, is_dataclass
+import sys
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from functools import lru_cache
 from typing import Sequence, Tuple, Union, get_args, get_origin, get_type_hints
 
@@ -18,7 +20,6 @@ DEFAULT_GYRO_RATE = 500
 # the tone-SNR analysis window at the gyro rate, shared by the channel's
 # noise calibration, the B-FSK receiver and the band sweep
 TONE_FFT_SIZE = 128
-TONE_NOVERLAP = 96
 
 
 class FrequencyRangeError(ValueError):
@@ -31,8 +32,9 @@ class ConfigError(ValueError):
 
 def from_dict(cls, doc):
     """Frozen dataclass cls from a JSON object keyed by its field names.
-    Absent keys take the dataclass defaults; each value is checked against
-    its field's annotation by _typed_value."""
+    Absent keys take the dataclass defaults, and a field without one must be
+    present; each value is checked against its field's annotation by
+    _typed_value."""
     if not isinstance(doc, dict):
         raise ConfigError(f"{cls.__name__}: expected a JSON object, "
                           f"got {type(doc).__name__}")
@@ -41,6 +43,10 @@ def from_dict(cls, doc):
     if unknown:
         raise ConfigError(f"{cls.__name__}: unknown key(s) {', '.join(unknown)}; "
                           f"expected some of {', '.join(names)}")
+    missing = [f.name for f in fields(cls) if f.name not in doc
+               and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise ConfigError(f"{cls.__name__}: missing required key(s) {', '.join(missing)}")
     hints = get_type_hints(cls)
     return cls(**{k: _typed_value(f"{cls.__name__}.{k}", hints[k], v)
                   for k, v in doc.items()})
@@ -49,7 +55,9 @@ def from_dict(cls, doc):
 def _typed_value(name: str, kind, value):
     """value as a field annotated kind takes it: int, float (an int will
     do), str, Tuple[X, ...], Tuple[X, Y], Optional[X] or a dataclass, loaded
-    by from_dict. Lists become tuples; booleans are not numbers."""
+    by from_dict. Lists become tuples; booleans are not numbers, and a float
+    must be finite (json.load reads NaN, Infinity and integers past the float
+    range)."""
     args = get_args(kind)
     if get_origin(kind) is Union:  # Optional[X]
         return None if value is None else _typed_value(name, args[0], value)
@@ -65,6 +73,8 @@ def _typed_value(name: str, kind, value):
     elif isinstance(value, bool) and kind in (int, float):
         pass
     elif isinstance(value, (int, float) if kind is float else kind):
+        if kind is float and not abs(value) <= sys.float_info.max:
+            raise ConfigError(f"{name} must be finite, got {value!r}")
         return value
     expected = kind.__name__ if isinstance(kind, type) else str(kind).replace("typing.", "")
     raise ConfigError(f"{name} must be {expected}, got {value!r}")
@@ -81,8 +91,9 @@ class Waveform:
         object.__setattr__(self, "samples", np.asarray(self.samples, dtype=np.float64))
         if self.sample_rate <= 0:
             raise ConfigError(f"sample_rate must be positive, got {self.sample_rate}")
-        if self.samples.size and np.max(np.abs(self.samples)) > 1.0 + 1e-9:
-            raise ValueError("waveform samples exceed full scale [-1, +1]")
+        # np.max propagates NaN, and NaN fails the comparison
+        if self.samples.size and not np.max(np.abs(self.samples)) <= 1.0 + 1e-9:
+            raise ValueError("waveform samples must be finite and within [-1, +1]")
 
     def __len__(self):
         return len(self.samples)
@@ -90,18 +101,6 @@ class Waveform:
     @property
     def duration(self) -> float:
         return len(self.samples) / self.sample_rate
-
-
-@dataclass(frozen=True)
-class Spectrogram:
-    """Magnitude time-frequency matrix, one row per frame."""
-
-    magnitudes: np.ndarray  # shape (frames, fft_size//2 + 1)
-    freqs: np.ndarray       # Hz per bin
-    times: np.ndarray       # seconds, frame start
-    fft_size: int
-    noverlap: int
-    sample_rate: int
 
 
 @dataclass(frozen=True)
@@ -171,37 +170,17 @@ def generate_chirp(f_start: float, f_end: float, duration: float, amplitude: flo
     return Waveform(amplitude * np.sin(phase), sample_rate)
 
 
-_WINDOWS = {
-    "rect": lambda n: np.ones(n),
-    "hann": lambda n: np.hanning(n),
-}
-
-
-def _frame_index(n: int, fft_size: int, noverlap: int) -> np.ndarray:
-    """Sample indices of every whole frame, shape (frames, fft_size);
-    hop = fft_size - noverlap."""
+def frames(x: np.ndarray, fft_size: int, noverlap: int) -> np.ndarray:
+    """Every whole frame of x, shape (frames, fft_size); hop = fft_size -
+    noverlap."""
     if not 0 <= noverlap < fft_size:
         raise ConfigError(f"noverlap {noverlap} must be in [0, fft_size={fft_size})")
-    if n < fft_size:
-        raise ConfigError(f"input of {n} samples shorter than fft_size {fft_size}")
+    if len(x) < fft_size:
+        raise ConfigError(f"input of {len(x)} samples shorter than fft_size {fft_size}")
     hop = fft_size - noverlap
-    n_frames = (n - fft_size) // hop + 1
-    return np.arange(fft_size)[None, :] + hop * np.arange(n_frames)[:, None]
-
-
-def stft(x: np.ndarray, fft_size: int, noverlap: int, window: str = "rect",
-         sample_rate: int = DEFAULT_AUDIO_RATE) -> Spectrogram:
-    """Sliding-window magnitude spectra; hop = fft_size - noverlap."""
-    x = np.asarray(x, dtype=np.float64)
-    if window not in _WINDOWS:
-        raise ConfigError(f"unknown window {window!r}; choose from {sorted(_WINDOWS)}")
-    frames = x[_frame_index(len(x), fft_size, noverlap)]
-    taper = _WINDOWS[window](fft_size)
-    mags = np.abs(np.fft.rfft(frames * taper, axis=1))
-    freqs = np.fft.rfftfreq(fft_size, d=1.0 / sample_rate)
-    times = (fft_size - noverlap) * np.arange(len(frames)) / sample_rate
-    return Spectrogram(magnitudes=mags, freqs=freqs, times=times,
-                       fft_size=fft_size, noverlap=noverlap, sample_rate=sample_rate)
+    n_frames = (len(x) - fft_size) // hop + 1
+    index = np.arange(fft_size)[None, :] + hop * np.arange(n_frames)[:, None]
+    return np.asarray(x, dtype=np.float64)[index]
 
 
 def magnitude_stream(trace: GyroTrace) -> np.ndarray:
@@ -234,11 +213,11 @@ def bin_index(f: float, fft_size: int, sample_rate: int) -> int:
     return int(round(fft_size * f / sample_rate))
 
 
-def frame_spectra(x: np.ndarray, fft_size: int, noverlap: int) -> np.ndarray:
+def frame_spectra(x: np.ndarray, fft_size: int) -> np.ndarray:
     """Complex spectra of mean-removed rectangular frames, shape
-    (frames, fft_size//2 + 1); hop = fft_size - noverlap. Linear in x."""
-    frames = np.asarray(x, dtype=np.float64)[_frame_index(len(x), fft_size, noverlap)]
-    return np.fft.rfft(frames - frames.mean(axis=1, keepdims=True), axis=1)
+    (frames, fft_size//2 + 1); the hop is a quarter window. Linear in x."""
+    f = frames(x, fft_size, fft_size - fft_size // 4)
+    return np.fft.rfft(f - f.mean(axis=1, keepdims=True), axis=1)
 
 
 @lru_cache(maxsize=64)
@@ -286,10 +265,3 @@ def active_snr_db(p_sig: np.ndarray, floor: float) -> float:
         active = slice(None)
     return float(10.0 * np.log10(np.mean(p_sig[active]) / floor))
 
-
-def tone_snr_db(x: np.ndarray, freqs: Sequence[float], sample_rate: int,
-                fft_size: int = TONE_FFT_SIZE, noverlap: int = TONE_NOVERLAP) -> float:
-    """Tone-bin SNR (dB) of one stream; see tone_power and active_snr_db."""
-    bins = [bin_index(f, fft_size, sample_rate) for f in freqs]
-    power = np.abs(frame_spectra(x, fft_size, noverlap)) ** 2
-    return active_snr_db(*tone_power(power, bins))

@@ -136,6 +136,15 @@ class TestBer:
         assert a.read_text().splitlines()[0] == \
             "distance_cm,snr_db,ber_fraction,frame_loss_fraction"
 
+    def test_missing_jammer_key_is_a_one_line_error(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(json.dumps({"profile": "s10", "jammer": {"f_min": 19000}}))
+        out = tmp_path / "ber.csv"
+        assert run("ber", "--config", cfg, "--out", out) == 1
+        assert capsys.readouterr().err == (
+            "error: ConfigError: JammerConfig: missing required key(s) f_max\n")
+        assert not out.exists()
+
 
 class TestSpectrogram:
     def test_wav_to_matrix(self, tmp_path):

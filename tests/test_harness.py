@@ -2,13 +2,15 @@
 
 import dataclasses
 import json
+import re
 import typing
 
 import numpy as np
 import pytest
 
 from gyromodem import modem_rx, modem_tx
-from gyromodem.channel import ChannelCondition, DeviceProfile, apply_channel, get_profile
+from gyromodem.channel import (ChannelCondition, DeviceProfile, apply_channel, get_profile,
+                               load_profile)
 from gyromodem.countermeasure import JammerConfig
 from gyromodem.harness import (
     DB_FLOOR,
@@ -20,7 +22,8 @@ from gyromodem.harness import (
     run_ber_experiment,
     run_point,
 )
-from gyromodem.sigcore import ConfigError, GyroTrace, Waveform, from_dict, generate_chirp
+from gyromodem.sigcore import (ConfigError, GyroTrace, Waveform, from_dict, generate_chirp,
+                               magnitude_stream)
 
 
 def read_matrix(path):
@@ -97,10 +100,12 @@ class TestExperimentConfig:
         ({"profile": "s10", "amplitude": "0.5"}, "ExperimentConfig.amplitude"),
         ({"profile": "s10", "jammer": {"f_min": "19000", "f_max": 19077}},
          "JammerConfig.f_min"),
+        ({"profile": "s10", "modulation": "qam"}, "modulation"),
+        ({"profile": "s10", "order": 4}, "order 2"),
     ], ids=["unknown-key", "unknown-jammer-key", "zero-filter-cutoff",
             "three-band-values", "descending-band", "float-frame-count",
             "string-bit-time", "string-distances", "float-seed", "string-amplitude",
-            "string-jammer-f-min"])
+            "string-jammer-f-min", "unknown-modulation", "bfsk-order-4"])
     def test_bad_json_names_the_key(self, tmp_path, doc, word):
         path = tmp_path / "exp.json"
         path.write_text(json.dumps(doc))
@@ -139,6 +144,34 @@ class TestFromDict:
         doc = dict(dataclasses.asdict(VALID[cls]), **{name: bad})
         with pytest.raises(ConfigError, match=rf"^{cls.__name__}\.{name} "):
             from_dict(cls, doc)
+
+    @pytest.mark.parametrize("cls, doc, missing", [
+        (JammerConfig, {"f_min": 19000}, "f_max"),
+        (ExperimentConfig, {"seed": 3}, "profile"),
+        (DeviceProfile, {"name": "x", "band_lo": 19000.0},
+         "band_hi, gyro_max_freq, axis_weights, fsk_pair"),
+    ], ids=["jammer", "experiment", "profile"])
+    def test_missing_key_names_each_field(self, cls, doc, missing):
+        with pytest.raises(ConfigError,
+                           match=rf"^{cls.__name__}: missing required key\(s\) {missing}$"):
+            from_dict(cls, doc)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), 10 ** 400],
+                             ids=["NaN", "Infinity", "-Infinity", "huge-integer"])
+    @pytest.mark.parametrize("load, doc, key, name", [
+        (load_experiment_config, FULL_CONFIG, "bit_time", "ExperimentConfig.bit_time"),
+        (load_experiment_config, FULL_CONFIG, "amplitude", "ExperimentConfig.amplitude"),
+        (load_experiment_config, FULL_CONFIG, "distances_cm",
+         "ExperimentConfig.distances_cm[0]"),
+        (load_profile, get_profile("s9"), "band_lo", "DeviceProfile.band_lo"),
+    ], ids=["bit_time", "amplitude", "distances_cm[0]", "band_lo"])
+    def test_non_finite_number_names_the_field(self, tmp_path, load, doc, key, name, bad):
+        doc = dataclasses.asdict(doc)
+        doc[key] = [bad, *doc[key][1:]] if key == "distances_cm" else bad
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))  # json writes NaN and Infinity unquoted
+        with pytest.raises(ConfigError, match=rf"^{re.escape(name)} must be finite"):
+            load(path)
 
 
 class TestRunBerExperiment:
@@ -185,7 +218,41 @@ class TestPipelineComposition:
             assert all(f.parity_valid for f in report.frames), name
 
 
+def hann_stft_csv(x, fft_size, noverlap, rate):
+    """The CSV emit_spectrogram wrote when it called the package's former
+    Hann-window stft, kept here as the byte-level reference."""
+    hop = fft_size - noverlap
+    n_frames = (len(x) - fft_size) // hop + 1
+    frames = x[np.arange(fft_size)[None, :] + hop * np.arange(n_frames)[:, None]]
+    mags = np.abs(np.fft.rfft(frames * np.hanning(fft_size), axis=1))
+    freqs = np.fft.rfftfreq(fft_size, d=1.0 / rate)
+    times = hop * np.arange(len(frames)) / rate
+    db = 20 * np.log10(np.maximum(mags, 10 ** (DB_FLOOR / 20)))
+    lines = ["time_s," + ",".join(f"{f:.3f}" for f in freqs)]
+    lines += [f"{t:.6f}," + ",".join(f"{v:.2f}" for v in row) for t, row in zip(times, db)]
+    return ("\n".join(lines) + "\n").encode()
+
+
 class TestEmitSpectrogram:
+    @pytest.mark.parametrize("fft_size, noverlap", [(4096, 2048), (1024, 0)])
+    def test_wav_bytes_match_hann_reference(self, tmp_path, fft_size, noverlap):
+        prof = get_profile("s10")
+        w = modem_tx.transmit_frames([(1, 0) * 6], modem_tx.bfsk_config(*prof.fsk_pair, 0.125),
+                                     gap=0.0)
+        path = tmp_path / "wav.csv"
+        emit_spectrogram(w, fft_size, noverlap, path)
+        assert path.read_bytes() == hann_stft_csv(w.samples, fft_size, noverlap, 48000)
+
+    def test_trace_bytes_match_hann_reference(self, tmp_path):
+        prof = get_profile("s10")
+        w = modem_tx.transmit_frames([(1, 0) * 6], modem_tx.bfsk_config(*prof.fsk_pair, 0.7),
+                                     gap=0.0)
+        trace = apply_channel(w, prof, ChannelCondition(snr_db=20.0, noise_seed=4))
+        path = tmp_path / "trace.csv"
+        emit_spectrogram(trace, 128, 96, path)
+        x = magnitude_stream(trace)
+        assert path.read_bytes() == hann_stft_csv(x - x.mean(), 128, 96, 500)
+
     def test_silence_sits_at_floor(self, tmp_path):
         path = tmp_path / "silence.csv"
         emit_spectrogram(Waveform(np.zeros(48000), 48000), 1024, 0, path)

@@ -31,7 +31,8 @@ from gyromodem.modem_rx import (
     demodulate_stream,
     measure_snr,
 )
-from gyromodem.sigcore import DEFAULT_GYRO_RATE, ConfigError, Waveform
+from gyromodem.sigcore import (DEFAULT_GYRO_RATE, TONE_FFT_SIZE, ConfigError, Waveform,
+                               active_snr_db, bin_index, tone_power)
 
 S10 = get_profile("s10")
 PAYLOAD = tuple(int(b) for b in "110100110100")
@@ -202,8 +203,7 @@ def synthetic_sync_inputs(flip_per_bit=0):
             bad = rng.choice(idx, size=flip_per_bit, replace=False)
             decisions[0, bad] ^= 1
     floors = np.array([0.001])
-    hop = cfg.fft_size - cfg.noverlap
-    centers = (np.arange(n_win) * hop + cfg.fft_size / 2) / DEFAULT_GYRO_RATE
+    centers = (np.arange(n_win) * cfg.hop + cfg.fft_size / 2) / DEFAULT_GYRO_RATE
     return decisions, mags, floors, centers, 31, cfg
 
 
@@ -507,7 +507,43 @@ class TestMaryDemodReference:
         assert sum(r.lost_sync_count for r in reports) >= 4
 
 
+def tone_snr_db_reference(x, freqs, rate, fft_size, noverlap):
+    """The former sigcore.tone_snr_db: tone-bin SNR of one stream over
+    mean-removed rectangular frames, sliced explicitly."""
+    hop = fft_size - noverlap
+    frames = np.array([x[i:i + fft_size] for i in range(0, len(x) - fft_size + 1, hop)])
+    power = np.abs(np.fft.rfft(frames - frames.mean(axis=1, keepdims=True), axis=1)) ** 2
+    return active_snr_db(*tone_power(power, [bin_index(f, fft_size, rate) for f in freqs]))
+
+
+def measure_snr_reference(trace, g_freqs, fft_size):
+    """The former measure_snr: one tone_snr_db per detrended axis, best wins."""
+    best = float("-inf")
+    for ax in range(3):
+        x = trace.data[:, ax]
+        x = x - x.mean()
+        best = max(best, tone_snr_db_reference(x, g_freqs, trace.sample_rate,
+                                               fft_size, fft_size * 3 // 4))
+    return best
+
+
 class TestMeasureSnr:
+    @pytest.mark.parametrize("name, order", [("s10", 2), ("s10_mfsk", 8)])
+    @pytest.mark.parametrize("snr_db", [0.0, 12.0, 30.0])
+    def test_equals_per_axis_reference(self, name, order, snr_db):
+        prof = get_profile(name)
+        tones = (prof.fsk_pair if order == 2
+                 else modem_tx.uniform_tones(19000.0, 19105.0, order))
+        fsk = modem_tx.FskConfig(tone_freqs=tones, bit_time=0.7)
+        rx = demod_config_for(prof, fsk)
+        assert rx.fft_size == (128 if order == 2 else 256)
+        w = modem_tx.transmit_frames([PAYLOAD], fsk, gap=0.0)
+        trace = apply_channel(w, prof, ChannelCondition(snr_db=snr_db, noise_seed=3))
+        assert measure_snr(trace, rx.g_freqs, rx) == \
+            measure_snr_reference(trace, rx.g_freqs, rx.fft_size)
+        assert measure_snr(trace, rx.g_freqs[:2]) == \
+            measure_snr_reference(trace, rx.g_freqs[:2], TONE_FFT_SIZE)
+
     @staticmethod
     def make_trace(target_db, seed, n=6000, rate=500, fft_size=128, a=0.1):
         g = 17 * rate / fft_size

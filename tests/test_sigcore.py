@@ -1,4 +1,4 @@
-"""Signal-core primitives: synthesis, STFT, smoothing, bin arithmetic."""
+"""Signal-core primitives: synthesis, framing, smoothing, bin arithmetic."""
 
 import numpy as np
 import pytest
@@ -6,17 +6,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gyromodem.sigcore import (
+    ConfigError,
     FrequencyRangeError,
     GyroTrace,
     Waveform,
     bin_index,
+    frames,
     generate_chirp,
     generate_sine,
     magnitude_stream,
     moving_average,
-    stft,
     tone_power,
 )
+
+
+def rect_magnitudes(x, fft_size, noverlap=0):
+    """Rectangular-window magnitude spectrum of every frame of x."""
+    return np.abs(np.fft.rfft(frames(x, fft_size, noverlap), axis=1))
 
 
 class TestGenerateSine:
@@ -24,8 +30,7 @@ class TestGenerateSine:
         w = generate_sine(19000.0, 0.5, 0.20, 48000)
         assert len(w) == 24000
         assert np.max(np.abs(w.samples)) == pytest.approx(0.20, abs=1e-12)
-        spec = stft(w.samples, 4096, 0, sample_rate=48000)
-        peak_hz = spec.freqs[np.argmax(spec.magnitudes[0])]
+        peak_hz = np.argmax(rect_magnitudes(w.samples, 4096)[0]) * 48000 / 4096
         assert abs(peak_hz - 19000.0) <= 48000 / 4096
 
     def test_zero_amplitude_is_silence(self):
@@ -51,10 +56,9 @@ class TestGenerateChirp:
 
     def test_instantaneous_frequency_at_midpoint(self):
         w = generate_chirp(0.0, 250.0, 1.0, 1.0, 500)
-        spec = stft(w.samples, 100, 0, sample_rate=500)
         # frame 2 covers t in [0.4, 0.6); its centroid frequency is 125 Hz
-        mid = spec.magnitudes[2]
-        peak_hz = spec.freqs[np.argmax(mid)]
+        mid = rect_magnitudes(w.samples, 100)[2]
+        peak_hz = np.argmax(mid) * 500 / 100
         assert abs(peak_hz - 125.0) <= 15.0
 
     def test_nyquist_rejected(self):
@@ -63,31 +67,31 @@ class TestGenerateChirp:
 
 
 class TestStft:
+    """Rectangular-window short-time spectra built on sigcore.frames."""
+
     def test_integer_bin_tone_peaks_every_frame(self):
         w = generate_sine(50.0, 4.0, 1.0, 500)
-        spec = stft(w.samples, 500, 0, sample_rate=500)
-        assert np.all(np.argmax(spec.magnitudes, axis=1) == 50)
+        assert np.all(np.argmax(rect_magnitudes(w.samples, 500), axis=1) == 50)
 
     def test_silence_all_zero(self):
-        spec = stft(np.zeros(1024), 128, 96, sample_rate=500)
-        assert np.all(spec.magnitudes == 0.0)
+        assert np.all(rect_magnitudes(np.zeros(1024), 128, 96) == 0.0)
 
     def test_high_band_tone_bin(self):
         w = generate_sine(19065.0, 0.5, 0.5, 48000)
-        spec = stft(w.samples, 4096, 0, sample_rate=48000)
-        assert np.argmax(spec.magnitudes[0]) == round(19065 * 4096 / 48000) == 1627
+        mags = rect_magnitudes(w.samples, 4096)
+        assert np.argmax(mags[0]) == round(19065 * 4096 / 48000) == 1627
 
     def test_overlap_must_be_smaller_than_fft(self):
-        with pytest.raises(Exception):
-            stft(np.zeros(1024), 128, 128, sample_rate=500)
+        for noverlap in (-1, 128, 200):
+            with pytest.raises(ConfigError, match="noverlap"):
+                frames(np.zeros(1024), 128, noverlap)
 
     def test_parseval_energy_balance(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal(512)
         n = 128
-        spec = stft(x, n, 0, sample_rate=500)
         buf = x[:n]
-        m = spec.magnitudes[0]
+        m = rect_magnitudes(x, n)[0]
         # real-input spectrum: double every bin except DC and Nyquist
         freq_energy = (m[0] ** 2 + m[-1] ** 2 + 2 * np.sum(m[1:-1] ** 2)) / n
         time_energy = np.sum(buf ** 2)
@@ -96,9 +100,29 @@ class TestStft:
     def test_on_bin_tone_concentrates_energy(self):
         # 50 Hz falls exactly on a bin of a 500-point FFT at 500 Hz
         w = generate_sine(50.0, 2.0, 1.0, 500)
-        spec = stft(w.samples, 500, 0, sample_rate=500)
-        m = spec.magnitudes[0] ** 2
+        m = rect_magnitudes(w.samples, 500)[0] ** 2
         assert m[50] / np.sum(m) >= 0.99
+
+
+class TestFrames:
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 600), fft_size=st.integers(1, 300), data=st.data())
+    def test_matches_explicit_slicing(self, n, fft_size, data):
+        noverlap = data.draw(st.integers(0, fft_size - 1))
+        x = np.arange(n, dtype=np.float64) * 0.5 - 7.0
+        if n < fft_size:
+            with pytest.raises(ConfigError, match="shorter than fft_size"):
+                frames(x, fft_size, noverlap)
+            return
+        hop = fft_size - noverlap
+        expected = []
+        i = 0
+        while i * hop + fft_size <= n:
+            expected.append(x[i * hop:i * hop + fft_size])
+            i += 1
+        got = frames(x, fft_size, noverlap)
+        assert got.shape == (len(expected), fft_size)
+        assert np.array_equal(got, np.array(expected))
 
 
 class TestVectorMagnitude:
@@ -118,8 +142,7 @@ class TestVectorMagnitude:
             GyroTrace.from_axes(np.column_stack([x, y, np.zeros_like(x)])))
         # the magnitude of an in-phase pair is a rectified sine whose
         # fundamental sits at twice the injected frequency
-        spec = stft(mags - mags.mean(), 500, 0, sample_rate=500)
-        assert np.argmax(spec.magnitudes[0]) == 130
+        assert np.argmax(rect_magnitudes(mags - mags.mean(), 500)[0]) == 130
 
 
 class TestTonePower:
@@ -191,6 +214,11 @@ class TestWaveform:
     def test_full_scale_enforced(self):
         with pytest.raises(ValueError):
             Waveform(np.array([0.0, 1.5]), 48000)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_sample_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            Waveform(np.array([0.0, bad, 0.5]), 48000)
 
     def test_duration(self):
         assert Waveform(np.zeros(24000), 48000).duration == 0.5
