@@ -15,6 +15,7 @@ import json
 import warnings
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 from typing import Dict, Optional, Tuple
 
@@ -179,14 +180,44 @@ def _complex_shift(x: np.ndarray, freq: float, rate: float) -> np.ndarray:
     return x * np.exp(2j * np.pi * freq * np.arange(len(x)) / rate)
 
 
-def _resample_complex(z: np.ndarray, up: int, down: int) -> np.ndarray:
-    """sps.resample_poly of a complex signal, one real pass per part: the
-    filter is real, so these are the complex pass's sums at half its cost."""
-    re = sps.resample_poly(z.real, up, down)
-    out = np.empty(len(re), dtype=np.complex128)
-    out.real = re
-    out.imag = sps.resample_poly(z.imag, up, down)
-    return out
+@lru_cache(maxsize=32)
+def _lowpass_taps(numtaps: int, cutoff: float) -> np.ndarray:
+    """firwin low-pass at the gyro rate, designed once and shared read-only."""
+    taps = sps.firwin(numtaps, cutoff, fs=DEFAULT_GYRO_RATE)
+    taps.flags.writeable = False
+    return taps
+
+
+@lru_cache(maxsize=8)
+def _shifted_lowpass(fs: int, f_center: float):
+    """resample_poly's own fs -> gyro-rate low-pass h, with its n_pre_pad
+    leading zeros, modulated to g[j] = h[j]*exp(+2*pi*i*f_center*j/(fs*up)).
+    Returns read-only (g.real, g.imag, up, down, n_pre_remove)."""
+    ratio = Fraction(DEFAULT_GYRO_RATE, fs)
+    up, down = ratio.numerator, ratio.denominator
+    half_len = 10 * max(up, down)
+    n_pre_pad = down - half_len % down
+    h = sps.firwin(2 * half_len + 1, 1.0 / max(up, down), window=("kaiser", 5.0)) * up
+    h = np.concatenate([np.zeros(n_pre_pad), h])
+    # phases in whole cycles modulo one, so long inputs keep their precision
+    g = h * np.exp(2j * np.pi * (f_center * np.arange(len(h)) % (fs * up)) / (fs * up))
+    g_re, g_im = g.real.copy(), g.imag.copy()
+    g_re.flags.writeable = g_im.flags.writeable = False
+    return g_re, g_im, up, down, (half_len + n_pre_pad) // down
+
+
+def _downconvert(x: np.ndarray, fs: int, f_center: float) -> np.ndarray:
+    """resample_poly(x * exp(-2*pi*i*f_center*n/fs), up, down) from fs to the
+    gyro rate without the input-rate mixer: two real passes of the shifted
+    low-pass over the real input, then output p is multiplied by
+    exp(-2*pi*i*f_center*p/gyro rate)."""
+    g_re, g_im, up, down, skip = _shifted_lowpass(fs, f_center)
+    p = np.arange(skip, skip + -(-len(x) * up // down))  # resample_poly's slice
+    z = np.empty(len(p), dtype=np.complex128)
+    z.real = sps.upfirdn(g_re, x, up, down)[p]
+    z.imag = sps.upfirdn(g_im, x, up, down)[p]
+    z *= np.exp(-2j * np.pi * (f_center * p % DEFAULT_GYRO_RATE) / DEFAULT_GYRO_RATE)
+    return z
 
 
 def _translate(w: Waveform, profile: DeviceProfile) -> np.ndarray:
@@ -201,13 +232,10 @@ def _translate(w: Waveform, profile: DeviceProfile) -> np.ndarray:
 
     f_center = 0.5 * (profile.band_lo + profile.band_hi)
     half_bw = 0.5 * (profile.band_hi - profile.band_lo)
-    z = _complex_shift(x, -f_center, fs)
-    ratio = Fraction(DEFAULT_GYRO_RATE, fs)
-    z = _resample_complex(z, ratio.numerator, ratio.denominator)
+    z = _downconvert(x, fs, f_center)
 
     # sharp band selection at the gyro rate: keep [-half_bw, +half_bw]
-    taps = sps.firwin(1001, half_bw + 2.0, fs=DEFAULT_GYRO_RATE)
-    z = sps.fftconvolve(z, taps, mode="same")
+    z = sps.fftconvolve(z, _lowpass_taps(1001, half_bw + 2.0), mode="same")
     y = _complex_shift(z, f_center - profile.band_lo, DEFAULT_GYRO_RATE)
 
     # response ceiling: offsets above gyro_max_freq fold onto the ceiling
@@ -215,7 +243,7 @@ def _translate(w: Waveform, profile: DeviceProfile) -> np.ndarray:
     gmax = profile.gyro_max_freq
     if bw > gmax:
         u = _complex_shift(y, -gmax / 2.0, DEFAULT_GYRO_RATE)
-        lp = sps.firwin(801, gmax / 2.0 + 1.0, fs=DEFAULT_GYRO_RATE)
+        lp = _lowpass_taps(801, gmax / 2.0 + 1.0)
         low = _complex_shift(sps.fftconvolve(u, lp, mode="same"), gmax / 2.0,
                              DEFAULT_GYRO_RATE)
         high = y - low
@@ -256,7 +284,7 @@ def _shaped_noise(n: int, rng: np.random.Generator,
     INBAND_NOISE_BOOST times the out-of-band power density."""
     white = rng.standard_normal((n, 3))
     if INBAND_NOISE_BOOST > 1.0:
-        lp = sps.firwin(301, profile.gyro_max_freq + 10.0, fs=DEFAULT_GYRO_RATE)
+        lp = _lowpass_taps(301, profile.gyro_max_freq + 10.0)
         extra = rng.standard_normal((n, 3))
         extra = sps.fftconvolve(extra, lp[:, None], mode="same", axes=0)
         white = white + np.sqrt(INBAND_NOISE_BOOST - 1.0) * extra

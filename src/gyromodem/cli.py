@@ -118,7 +118,8 @@ def cmd_spectrogram(args) -> int:
         source = import_wav(args.wav)
     else:
         source = channel.read_trace_csv(args.trace)
-    harness.emit_spectrogram(source, args.fft_size, args.noverlap, args.out)
+    noverlap = args.fft_size // 2 if args.noverlap is None else args.noverlap
+    harness.emit_spectrogram(source, args.fft_size, noverlap, args.out)
     print(f"wrote {args.out}")
     return 0
 
@@ -218,7 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--wav")
     g.add_argument("--trace")
     p.add_argument("--fft-size", type=int, default=4096, dest="fft_size")
-    p.add_argument("--noverlap", type=int, default=2048)
+    p.add_argument("--noverlap", type=int, default=None,
+                   help="default: half of --fft-size")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_spectrogram)
 

@@ -2,7 +2,9 @@
 
 import dataclasses
 import json
+import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,13 +13,20 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import signal as sps
 
-from gyromodem import modem_rx, modem_tx
+from gyromodem import channel, harness, modem_rx, modem_tx
 from gyromodem.channel import (
     BUILTIN_PROFILES,
+    OVERLOAD_PHASE_SPREAD,
+    PAD_SECONDS,
+    SATURATION_LEVEL,
     ChannelCondition,
     ChannelError,
     GyroTrace,
-    _resample_complex,
+    _complex_shift,
+    _downconvert,
+    _lowpass_taps,
+    _saturate,
+    _translate,
     apply_channel,
     distance_to_snr,
     get_preset,
@@ -28,8 +37,10 @@ from gyromodem.channel import (
     superpose,
     write_trace_csv,
 )
+from gyromodem.countermeasure import JammerConfig, jam_waveform
 from gyromodem.harness import demod_config_for
-from gyromodem.sigcore import (ConfigError, Waveform, frame_spectra, frames,
+from gyromodem.sigcore import (DEFAULT_GYRO_RATE, ConfigError, Waveform,
+                               frame_spectra, frames, generate_chirp,
                                generate_sine, tone_power)
 
 S10 = get_profile("s10")
@@ -164,20 +175,137 @@ class TestCalibrateSigma:
         assert fast_floor == pytest.approx(ref_floor, rel=1e-9, abs=atol)
 
 
-class TestResampleComplex:
+def reference_downconvert(x, fs, f_center):
+    """The former front end: an input-rate mixer over the whole signal, then
+    resample_poly of the complex result."""
+    ratio = Fraction(DEFAULT_GYRO_RATE, fs)
+    return sps.resample_poly(_complex_shift(x, -f_center, fs),
+                             ratio.numerator, ratio.denominator)
+
+
+def reference_unsaturated(w, profile):
+    """_translate's complex gyro-domain signal before _saturate, built on
+    reference_downconvert and freshly designed band filters."""
+    pad = int(round(PAD_SECONDS * w.sample_rate))
+    x = np.concatenate([np.zeros(pad), w.samples, np.zeros(pad)])
+    f_center = 0.5 * (profile.band_lo + profile.band_hi)
+    half_bw = 0.5 * (profile.band_hi - profile.band_lo)
+    z = reference_downconvert(x, w.sample_rate, f_center)
+    taps = sps.firwin(1001, half_bw + 2.0, fs=DEFAULT_GYRO_RATE)
+    z = sps.fftconvolve(z, taps, mode="same")
+    y = _complex_shift(z, f_center - profile.band_lo, DEFAULT_GYRO_RATE)
+    gmax = profile.gyro_max_freq
+    if profile.band_hi - profile.band_lo > gmax:
+        u = _complex_shift(y, -gmax / 2.0, DEFAULT_GYRO_RATE)
+        lp = sps.firwin(801, gmax / 2.0 + 1.0, fs=DEFAULT_GYRO_RATE)
+        low = _complex_shift(sps.fftconvolve(u, lp, mode="same"), gmax / 2.0,
+                             DEFAULT_GYRO_RATE)
+        y = low + np.abs(y - low) * np.exp(
+            2j * np.pi * gmax * np.arange(len(y)) / DEFAULT_GYRO_RATE)
+    return y
+
+
+def payload_frame(profile_name, order=2, sample_rate=48000):
+    profile = get_profile(profile_name)
+    cfg = harness.ExperimentConfig(profile=profile_name,
+                                   modulation="bfsk" if order == 2 else "mfsk",
+                                   order=order)
+    fsk = harness.fsk_config_for(profile, cfg)
+    payload = tuple(int(b) for b in "101100101110")
+    return modem_tx.transmit_frames([payload], fsk, gap=0.0, sample_rate=sample_rate)
+
+
+# the mixer-free front end must reproduce the former one to within rounding
+TRANSLATE_RTOL = 1e-9
+
+
+class TestTranslateAccuracy:
+    @pytest.mark.parametrize("case", [
+        "oneplus7", "s9", "s10", "s10_mfsk-32fsk", "chirp-oneplus7", "s10-44100"])
+    def test_matches_mixer_reference(self, case):
+        if case == "s10_mfsk-32fsk":
+            profile, w = get_profile("s10_mfsk"), payload_frame("s10_mfsk", order=32)
+        elif case == "chirp-oneplus7":
+            # sweeps through the band and past both edges, across the fold
+            profile = get_profile("oneplus7")
+            w = generate_chirp(profile.band_lo - 300.0, profile.band_hi + 300.0,
+                               6.0, 0.2, 48000)
+        elif case == "s10-44100":
+            # 500/44100 = 5/441: the up = 5 path
+            profile, w = S10, payload_frame("s10", sample_rate=44100)
+        else:
+            profile, w = get_profile(case), payload_frame(case)
+        ref = np.real(_saturate(reference_unsaturated(w, profile)))
+        got = _translate(w, profile)
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= TRANSLATE_RTOL * np.max(np.abs(ref))
+
+    def test_jammed_overload_matches_reference(self, monkeypatch):
+        w = payload_frame("s10")
+        jam = jam_waveform(JammerConfig(
+            f_min=S10.band_lo, f_max=S10.band_hi, max_volume=0.2, volume=0.2,
+            seed=0, total_duration=w.duration))
+        combined, clipped = superpose(w, jam)
+        seen = []
+        monkeypatch.setattr(channel, "_saturate",
+                            lambda y: seen.append(y) or _saturate(y))
+        got = _translate(combined, S10)
+        ref_y = reference_unsaturated(combined, S10)
+        ref = _saturate(ref_y)
+        over = ref != ref_y
+        assert over.any() and clipped == 0
+        # the linear front end agrees like the unjammed links
+        peak = np.max(np.abs(ref_y))
+        assert np.max(np.abs(seen[0] - ref_y)) <= TRANSLATE_RTOL * peak
+        assert np.array_equal(_saturate(seen[0]) != seen[0], over)
+        err = np.abs(got - np.real(ref))
+        assert np.max(err[~over]) <= TRANSLATE_RTOL * peak
+        # overload multiplies phase by OVERLOAD_PHASE_SPREAD: a phase error
+        # of |dy|/|y| grows to SPREAD * LEVEL * |dy|/|y| in its output
+        gain = OVERLOAD_PHASE_SPREAD * SATURATION_LEVEL / np.abs(ref_y[over])
+        assert np.all(err[over] <= gain * TRANSLATE_RTOL * peak)
+
     @settings(max_examples=25, deadline=None)
-    @given(n=st.integers(1, 4000),
-           up=st.integers(1, 5),
-           down=st.integers(1, 100),
-           pad=st.integers(0, 500),
+    @given(n=st.integers(1, 5000),
+           rate_hundreds=st.integers(80, 960),
+           centre_share=st.floats(0.0, 0.5),
            seed=st.integers(0, 2 ** 32 - 1))
-    def test_bit_identical_to_complex_pass(self, n, up, down, pad, seed):
+    def test_downconvert_matches_mixer_reference(self, n, rate_hundreds,
+                                                 centre_share, seed):
+        fs = 100 * rate_hundreds
+        f_center = centre_share * fs
         rng = np.random.default_rng(seed)
-        # zero padding shifted like _translate's, so it carries signed zeros
-        x = np.concatenate([np.zeros(pad), rng.standard_normal(n), np.zeros(pad)])
-        z = x * np.exp(2j * np.pi * rng.uniform(-0.5, 0.5) * np.arange(len(x)))
-        got = _resample_complex(z, up, down)
-        assert got.tobytes() == sps.resample_poly(z, up, down).tobytes()
+        x = rng.uniform(-1.0, 1.0, n)
+        ref = reference_downconvert(x, fs, f_center)
+        got = _downconvert(x, fs, f_center)
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= TRANSLATE_RTOL * np.max(np.abs(ref))
+
+    def test_peak_memory_near_padded_input(self):
+        profile = get_profile("oneplus7")
+        w = payload_frame("oneplus7")
+        _translate(w, profile)  # design and cache the filters first
+        tracemalloc.start()
+        try:
+            _translate(w, profile)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        padded_bytes = 8 * (len(w) + 2 * int(round(PAD_SECONDS * w.sample_rate)))
+        assert peak <= 2 * padded_bytes
+
+
+class TestLowpassTaps:
+    @pytest.mark.parametrize("numtaps,cutoff", [
+        (1001, 0.5 * (S10.band_hi - S10.band_lo) + 2.0),
+        (801, 0.5 * BUILTIN_PROFILES["oneplus7"].gyro_max_freq + 1.0),
+        (301, S9.gyro_max_freq + 10.0)])
+    def test_equals_fresh_design_and_is_shared_read_only(self, numtaps, cutoff):
+        taps = _lowpass_taps(numtaps, cutoff)
+        assert taps.tobytes() == sps.firwin(numtaps, cutoff, fs=DEFAULT_GYRO_RATE).tobytes()
+        assert _lowpass_taps(numtaps, cutoff) is taps
+        with pytest.raises(ValueError):
+            taps[0] = 1.0
 
 
 class TestDistanceToSnr:

@@ -156,3 +156,19 @@ class TestSpectrogram:
                    "--noverlap", "0", "--out", out) == 0
         first = out.read_text().splitlines()[0]
         assert first.startswith(",") or first[0].isdigit() or first[0] == "t"
+
+    def test_noverlap_defaults_to_half_the_window(self, tmp_path):
+        wav = tmp_path / "a.wav"
+        assert run("transmit", "--profile", "s10", "--text", "A",
+                   "--bit-time", "0.125", "--out", wav) == 0
+        outs = {name: tmp_path / f"{name}.csv" for name in
+                ("1024", "1024-512", "default", "4096-2048")}
+        assert run("spectrogram", "--wav", wav, "--fft-size", "1024",
+                   "--out", outs["1024"]) == 0
+        assert run("spectrogram", "--wav", wav, "--fft-size", "1024",
+                   "--noverlap", "512", "--out", outs["1024-512"]) == 0
+        assert run("spectrogram", "--wav", wav, "--out", outs["default"]) == 0
+        assert run("spectrogram", "--wav", wav, "--fft-size", "4096",
+                   "--noverlap", "2048", "--out", outs["4096-2048"]) == 0
+        assert outs["1024"].read_bytes() == outs["1024-512"].read_bytes()
+        assert outs["default"].read_bytes() == outs["4096-2048"].read_bytes()
