@@ -33,8 +33,8 @@ def find_resonance_band(trace: GyroTrace, scan: Tuple[float, float, float],
     longest contiguous run of frames at least threshold_db over the median
     frame energy. chirp_start is the trace time (s) where the sweep begins,
     e.g. the channel simulator's silence padding."""
-    if threshold_db <= 0:
-        raise ValueError("threshold_db must be positive")
+    if not 0 < threshold_db < np.inf:
+        raise ValueError(f"threshold_db must be finite and positive, got {threshold_db}")
     f_start, f_end, duration = scan
     rate = trace.sample_rate
     energy = None

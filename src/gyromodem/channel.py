@@ -23,6 +23,7 @@ import numpy as np
 from scipy import ndimage
 from scipy import signal as sps
 
+from .countermeasure import lowpass
 from .sigcore import (DEFAULT_GYRO_RATE, TONE_FFT_SIZE, GyroTrace, Waveform,
                       active_snr_db, bin_index, frame_spectra, from_dict,
                       tone_power)
@@ -68,23 +69,39 @@ class DeviceProfile:
             raise ChannelError(f"{self.name}: FSK pair outside the resonance band")
         if any(w < 0 for w in self.axis_weights) or max(self.axis_weights) <= 0:
             raise ChannelError(f"{self.name}: need at least one positive axis weight")
-        if self.gyro_max_freq > DEFAULT_GYRO_RATE / 2:
-            raise ChannelError(f"{self.name}: gyro ceiling above gyro Nyquist")
+        if not 0 < self.gyro_max_freq <= DEFAULT_GYRO_RATE / 2:
+            raise ChannelError(f"{self.name}: gyro_max_freq must be in "
+                               f"(0, {DEFAULT_GYRO_RATE / 2:g}], got {self.gyro_max_freq}")
+        if not self.response_amplitude > 0:
+            raise ChannelError(f"{self.name}: response_amplitude must be positive, "
+                               f"got {self.response_amplitude}")
 
 
 @dataclass(frozen=True)
 class ChannelCondition:
     """Everything that determines one simulation run.
 
-    snr_db=None disables noise. noise_rms pins the per-axis noise level
-    directly (rad/s), bypassing SNR calibration; useful for comparing
-    conditions where only the transmit path changes.
+    snr_db is the tone-bin SNR of the waveform as sent; None with noise_rms
+    None disables noise. noise_rms pins the per-axis noise level directly
+    (rad/s), bypassing SNR calibration. The two defences, a speaker
+    low-pass at filter_cutoff (Hz) and a jammer, change only what reaches
+    the gyroscope, never the noise level.
     """
 
     snr_db: Optional[float] = None
     noise_seed: int = 0
     jammer: Optional[Waveform] = None
     noise_rms: Optional[float] = None
+    filter_cutoff: Optional[float] = None
+
+    def __post_init__(self):
+        if self.snr_db is not None and not np.isfinite(self.snr_db):
+            raise ChannelError(f"snr_db must be finite, got {self.snr_db}")
+        if self.noise_rms is not None and not 0 <= self.noise_rms < np.inf:
+            raise ChannelError(f"noise_rms must be finite and >= 0, got {self.noise_rms}")
+        if self.filter_cutoff is not None and not 0 < self.filter_cutoff < np.inf:
+            raise ChannelError(f"filter_cutoff must be finite and positive, "
+                               f"got {self.filter_cutoff}")
 
 
 @dataclass(frozen=True)
@@ -283,38 +300,32 @@ def _shaped_noise(n: int, rng: np.random.Generator,
     """Unit-floor Gaussian noise, (n, 3); the gyro resonance band carries
     INBAND_NOISE_BOOST times the out-of-band power density."""
     white = rng.standard_normal((n, 3))
-    if INBAND_NOISE_BOOST > 1.0:
-        lp = _lowpass_taps(301, profile.gyro_max_freq + 10.0)
-        extra = rng.standard_normal((n, 3))
-        extra = sps.fftconvolve(extra, lp[:, None], mode="same", axes=0)
-        white = white + np.sqrt(INBAND_NOISE_BOOST - 1.0) * extra
-    return white
+    lp = _lowpass_taps(301, profile.gyro_max_freq + 10.0)
+    extra = sps.fftconvolve(rng.standard_normal((n, 3)), lp[:, None], mode="same", axes=0)
+    return white + np.sqrt(INBAND_NOISE_BOOST - 1.0) * extra
 
 
-def _fsk_gyro_freqs(profile: DeviceProfile) -> Tuple[float, float]:
-    g = [gyro_frequency(f, profile) for f in profile.fsk_pair]
-    return (g[0], g[1])
-
-
-def _calibrate_sigma(clean: np.ndarray, unit_noise: np.ndarray,
+def _calibrate_sigma(base: np.ndarray, unit_noise: np.ndarray,
                      profile: DeviceProfile, snr_db: float) -> float:
     """Binary-search the noise scale until the tone-SNR estimator (best axis,
-    like the receiver's) reads the requested value on (clean + sigma*noise)."""
-    g_freqs = _fsk_gyro_freqs(profile)
+    like the receiver's) reads snr_db on each weighted axis of base plus sigma*noise."""
     axes = [ax for ax in range(3) if profile.axis_weights[ax] > 0]
+    clean = [profile.response_amplitude * base * profile.axis_weights[ax] for ax in axes]
 
     # the estimator's spectra are linear in their input, so precompute the
     # clean and unit-noise spectra once and evaluate every candidate sigma
     # without another FFT
-    gbins = [bin_index(f, TONE_FFT_SIZE, DEFAULT_GYRO_RATE) for f in g_freqs]
-    spec_pairs = [(frame_spectra(clean[:, ax], TONE_FFT_SIZE),
-                   frame_spectra(unit_noise[:, ax], TONE_FFT_SIZE)) for ax in axes]
+    gbins = [bin_index(gyro_frequency(f, profile), TONE_FFT_SIZE, DEFAULT_GYRO_RATE)
+             for f in profile.fsk_pair]
+    spec_pairs = [(frame_spectra(c, TONE_FFT_SIZE),
+                   frame_spectra(unit_noise[:, ax], TONE_FFT_SIZE))
+                  for c, ax in zip(clean, axes)]
 
     def measured(sigma: float) -> float:
         return max(active_snr_db(*tone_power(np.abs(sc + sigma * sn) ** 2, gbins))
                    for sc, sn in spec_pairs)
 
-    rms = float(np.sqrt(np.mean(clean[:, axes[0]] ** 2)))
+    rms = float(np.sqrt(np.mean(clean[0] ** 2)))
     if rms <= 1e-12:
         # silence in, noise out: anchor the level to a nominal 20%-volume tone
         ref = 0.2 * profile.response_amplitude * max(profile.axis_weights)
@@ -344,36 +355,30 @@ def _calibrate_sigma(clean: np.ndarray, unit_noise: np.ndarray,
 def apply_channel(w: Waveform, profile: DeviceProfile,
                   cond: ChannelCondition) -> GyroTrace:
     """Simulate the full acoustic -> angular-velocity path. Deterministic for
-    identical (waveform, profile, condition)."""
+    identical (waveform, profile, condition). The noise level is set by w as
+    sent; the condition's defences act only on what reaches the gyroscope."""
     if len(w) == 0:
         raise ChannelError("cannot simulate an empty waveform")
+    received = w
+    if cond.filter_cutoff is not None:
+        received = lowpass(received, cond.filter_cutoff)
     if cond.jammer is not None:
-        combined, _clipped = superpose(w, cond.jammer)
-    else:
-        combined = w
+        received, _clipped = superpose(received, cond.jammer)
 
-    base = _translate(combined, profile)
+    base = _translate(received, profile)
     weights = np.asarray(profile.axis_weights)
-    clean = profile.response_amplitude * base[:, None] * weights[None, :]
+    data = profile.response_amplitude * base[:, None] * weights[None, :]
 
-    sigma = 0.0
-    rng = np.random.default_rng(cond.noise_seed)
-    unit_noise = _shaped_noise(len(base), rng, profile)
-    if cond.noise_rms is not None:
-        sigma = float(cond.noise_rms)
-    elif cond.snr_db is not None:
-        if cond.jammer is not None:
-            # calibrate against the covert signal alone; jamming must not
-            # quiet the channel noise
-            base_clean = _translate(w, profile)
-            clean_ref = profile.response_amplitude * base_clean[:, None] * weights[None, :]
+    if cond.snr_db is not None or cond.noise_rms is not None:
+        unit_noise = _shaped_noise(len(base), np.random.default_rng(cond.noise_seed),
+                                   profile)
+        if cond.noise_rms is not None:
+            sigma = float(cond.noise_rms)
         else:
-            clean_ref = clean
-        sigma = _calibrate_sigma(clean_ref, unit_noise, profile,
-                                 float(cond.snr_db))
-
-    data = clean + sigma * unit_noise + np.asarray(DEFAULT_AXIS_BIAS)[None, :]
-    return GyroTrace.from_axes(data)
+            sent = base if received is w else _translate(w, profile)
+            sigma = _calibrate_sigma(sent, unit_noise, profile, float(cond.snr_db))
+        data = data + sigma * unit_noise
+    return GyroTrace.from_axes(data + np.asarray(DEFAULT_AXIS_BIAS)[None, :])
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import channel, framing, modem_tx
 from .channel import ChannelCondition, DeviceProfile, apply_channel, distance_to_snr
-from .countermeasure import JammerConfig, jam_waveform, lowpass
+from .countermeasure import JammerConfig, jam_waveform
 from .modem_rx import DemodConfig, demodulate_stream
 from .modem_tx import FskConfig, transmit_frames, uniform_tones
 from .sigcore import ConfigError, GyroTrace, Waveform, frames, from_dict, magnitude_stream
@@ -102,14 +102,13 @@ def run_point(profile: DeviceProfile, fsk: FskConfig, rxcfg: DemodConfig,
         rng = _point_seed(seed, point_index, fi)
         payload = tuple(int(b) for b in rng.integers(0, 2, framing.PAYLOAD_BITS))
         wave = transmit_frames([payload], fsk, gap=0.0)
-        if filter_cutoff is not None:
-            wave = lowpass(wave, filter_cutoff)
         jam = None
         if jammer is not None:
             jam = jam_waveform(replace(jammer, seed=int(rng.integers(0, 2 ** 31)),
                                        total_duration=wave.duration))
         noise_seed = int(rng.integers(0, 2 ** 31))
-        cond = ChannelCondition(snr_db=snr_db, noise_seed=noise_seed, jammer=jam)
+        cond = ChannelCondition(snr_db=snr_db, noise_seed=noise_seed, jammer=jam,
+                                filter_cutoff=filter_cutoff)
         trace = apply_channel(wave, profile, cond)
         report = demodulate_stream(trace, rxcfg)
         if not report.frames:

@@ -70,6 +70,12 @@ class TestFindResonanceBand:
         assert (a.band_lo, a.band_hi, a.peak_response_freq) == \
                (b.band_lo, b.band_hi, b.peak_response_freq)
 
+    @pytest.mark.parametrize("threshold_db", [float("nan"), float("inf"), 0.0, -3.0])
+    def test_unusable_threshold_rejected(self, threshold_db):
+        trace = sweep_trace(S10, 18900.0, 19200.0, 2.0)
+        with pytest.raises(ValueError, match="threshold_db"):
+            find_resonance_band(trace, (18900.0, 19200.0, 2.0), threshold_db=threshold_db)
+
 
 class TestSweepCsv:
     def test_curve_export(self, tmp_path):

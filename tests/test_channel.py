@@ -16,6 +16,7 @@ from scipy import signal as sps
 from gyromodem import channel, harness, modem_rx, modem_tx
 from gyromodem.channel import (
     BUILTIN_PROFILES,
+    DEFAULT_AXIS_BIAS,
     OVERLOAD_PHASE_SPREAD,
     PAD_SECONDS,
     SATURATION_LEVEL,
@@ -152,6 +153,88 @@ class TestApplyChannel:
         m_tone = modem_rx.measure_snr(apply_channel(tone, S10, cond), (65.0, 77.0), rx)
         m_noise = modem_rx.measure_snr(apply_channel(silence, S10, cond), (65.0, 77.0), rx)
         assert abs(m_tone - m_noise) <= 3.0
+
+
+class TestNoiseRule:
+    """One rule: sigma is calibrated on the waveform as sent, and the
+    condition's defences (speaker low-pass, jammer) change only what reaches
+    the gyroscope."""
+
+    TONE = generate_sine(19065.0, 2.0, 0.2, 48000)
+
+    def jammer(self):
+        return jam_waveform(JammerConfig(f_min=S10.band_lo, f_max=S10.band_hi, seed=3,
+                                         total_duration=self.TONE.duration))
+
+    @pytest.mark.parametrize("jammed", [False, True], ids=["plain", "jammed"])
+    def test_noiseless_draws_no_noise(self, monkeypatch, jammed):
+        calls = []
+        real = channel._shaped_noise
+        monkeypatch.setattr(channel, "_shaped_noise",
+                            lambda *args: calls.append(args) or real(*args))
+        jam = self.jammer() if jammed else None
+        trace = apply_channel(self.TONE, S10, ChannelCondition(jammer=jam))
+        assert calls == []
+        received = superpose(self.TONE, jam)[0] if jammed else self.TONE
+        weights = np.asarray(S10.axis_weights)
+        expected = (S10.response_amplitude * _translate(received, S10)[:, None]
+                    * weights[None, :] + np.asarray(DEFAULT_AXIS_BIAS)[None, :])
+        assert trace.data.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("defence", ["none", "filter", "jammer", "both"])
+    def test_sigma_calibrated_on_waveform_as_sent(self, monkeypatch, defence):
+        translated, calibrated = [], []
+        real_translate, real_calibrate = channel._translate, channel._calibrate_sigma
+
+        def spy_translate(w, profile):
+            translated.append(real_translate(w, profile))
+            return translated[-1]
+
+        def spy_calibrate(base, *rest):
+            calibrated.append(base)
+            return real_calibrate(base, *rest)
+
+        monkeypatch.setattr(channel, "_translate", spy_translate)
+        monkeypatch.setattr(channel, "_calibrate_sigma", spy_calibrate)
+        cond = ChannelCondition(
+            snr_db=20.0, noise_seed=1,
+            filter_cutoff=16000.0 if defence in ("filter", "both") else None,
+            jammer=self.jammer() if defence in ("jammer", "both") else None)
+        apply_channel(self.TONE, S10, cond)
+        (base,) = calibrated
+        assert base.tobytes() == real_translate(self.TONE, S10).tobytes()
+        if defence == "none":
+            assert len(translated) == 1 and base is translated[0]
+
+    def test_speaker_filter_costs_snr(self):
+        fsk, rx = s10_rx()
+        w = modem_tx.transmit_frames([(1, 0, 1, 1, 0, 0, 1, 1, 1, 0, 0, 0)], fsk, gap=0.0)
+        plain, filtered = (
+            modem_rx.measure_snr(apply_channel(w, S10, ChannelCondition(
+                snr_db=20.0, noise_seed=4, filter_cutoff=cutoff)), rx.g_freqs, rx)
+            for cutoff in (None, 16000.0))
+        assert plain == pytest.approx(20.0, abs=0.5)
+        assert filtered <= plain - 4.0
+
+
+class TestUnusableInput:
+    @pytest.mark.parametrize("field,value", [
+        ("snr_db", np.nan), ("snr_db", np.inf),
+        ("noise_rms", -0.01), ("noise_rms", np.nan), ("noise_rms", np.inf),
+        ("filter_cutoff", 0.0), ("filter_cutoff", -100.0), ("filter_cutoff", np.nan),
+        ("filter_cutoff", np.inf),
+    ])
+    def test_condition_rejected(self, field, value):
+        with pytest.raises(ChannelError, match=field):
+            ChannelCondition(**{field: value})
+
+    @pytest.mark.parametrize("field,value", [
+        ("gyro_max_freq", 0.0), ("gyro_max_freq", -80.0), ("gyro_max_freq", 300.0),
+        ("response_amplitude", 0.0), ("response_amplitude", -0.02),
+    ])
+    def test_profile_rejected(self, field, value):
+        with pytest.raises(ChannelError, match=field):
+            dataclasses.replace(S10, **{field: value})
 
 
 class TestCalibrateSigma:

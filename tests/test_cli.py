@@ -1,10 +1,12 @@
 """Command-line pipelines: transmit, simulate, receive, sweep, jam, ber."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from gyromodem.channel import get_profile
 from gyromodem.cli import main
 from gyromodem.modem_tx import import_wav
 
@@ -109,6 +111,36 @@ class TestSweep:
                    "--f-end", "19400", "--duration", "20", "--snr-db", "25",
                    "--seed", "3", "--out", out) == 0
         assert out.read_text().startswith("acoustic_hz,response_db")
+
+
+class TestUnusableInput:
+    """Inputs the channel cannot use fail with a one-line error naming the field."""
+
+    def test_simulate_nan_snr_fails(self, tmp_path, capsys):
+        wav, out = tmp_path / "a.wav", tmp_path / "trace.csv"
+        assert run("transmit", "--profile", "s10", "--text", "A", "--out", wav) == 0
+        assert run("simulate", "--profile", "s10", "--wav", wav, "--snr-db", "nan",
+                   "--out", out) == 1
+        assert "snr_db" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sweep_nan_threshold_fails(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        assert run("sweep", "--profile", "s10", "--f-start", "18900", "--f-end", "19200",
+                   "--duration", "2", "--threshold-db", "nan", "--out", out) == 1
+        assert "threshold_db" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field", ["gyro_max_freq", "response_amplitude"])
+    def test_zero_profile_field_fails(self, tmp_path, capsys, field):
+        doc = dataclasses.asdict(get_profile("s10"))
+        doc.update(name="dead", **{field: 0})
+        (tmp_path / "dead.json").write_text(json.dumps(doc))
+        wav = tmp_path / "a.wav"
+        assert run("transmit", "--profile", "dead", "--profile-dir", tmp_path,
+                   "--text", "A", "--out", wav) == 1
+        assert field in capsys.readouterr().err
+        assert not wav.exists()
 
 
 class TestJam:

@@ -183,6 +183,16 @@ class TestRunBerExperiment:
                         point_index=0)
         assert row.ber == 0.0 and row.frame_loss == 0.0 and row.frames_synced == 3
 
+    def test_speaker_filter_blocks_the_link(self):
+        # the unfiltered frame sets the noise level, so a 2 kHz speaker
+        # low-pass leaves the carrier far below it
+        prof = get_profile("s10")
+        fsk = modem_tx.bfsk_config(*prof.fsk_pair, 0.7)
+        rx = demod_config_for(prof, fsk)
+        row = run_point(prof, fsk, rx, snr_db=20.0, n_frames=3, seed=1, point_index=0,
+                        filter_cutoff=2000.0)
+        assert row.frames_synced == 0 and row.frame_loss == 1.0
+
     def test_table_shape_and_determinism(self):
         cfg = ExperimentConfig(profile="s10", distances_cm=(0.0,),
                                frames_per_point=2, seed=5)
