@@ -26,6 +26,12 @@ class SweepResult:
     curve_db: np.ndarray       # gyro-band energy per frame, dB over the floor
 
 
+def check_threshold(threshold_db: float) -> None:
+    """find_resonance_band's threshold must be finite and positive."""
+    if not 0 < threshold_db < np.inf:
+        raise ValueError(f"threshold_db must be finite and positive, got {threshold_db}")
+
+
 def find_resonance_band(trace: GyroTrace, scan: Tuple[float, float, float],
                         threshold_db: float = DEFAULT_THRESHOLD_DB,
                         chirp_start: float = 0.0) -> SweepResult:
@@ -33,8 +39,7 @@ def find_resonance_band(trace: GyroTrace, scan: Tuple[float, float, float],
     longest contiguous run of frames at least threshold_db over the median
     frame energy. chirp_start is the trace time (s) where the sweep begins,
     e.g. the channel simulator's silence padding."""
-    if not 0 < threshold_db < np.inf:
-        raise ValueError(f"threshold_db must be finite and positive, got {threshold_db}")
+    check_threshold(threshold_db)
     f_start, f_end, duration = scan
     rate = trace.sample_rate
     energy = None

@@ -205,11 +205,24 @@ def _lowpass_taps(numtaps: int, cutoff: float) -> np.ndarray:
     return taps
 
 
+# rows of `down` input samples per matrix product in _downconvert: bounds
+# its scratch to this many rows of tap-matrix columns, whatever the input
+DECIMATE_BLOCK_ROWS = 4096
+
+
 @lru_cache(maxsize=8)
 def _shifted_lowpass(fs: int, f_center: float):
     """resample_poly's own fs -> gyro-rate low-pass h, with its n_pre_pad
-    leading zeros, modulated to g[j] = h[j]*exp(+2*pi*i*f_center*j/(fs*up)).
-    Returns read-only (g.real, g.imag, up, down, n_pre_remove)."""
+    leading zeros, modulated to g[j] = h[j]*exp(+2*pi*i*f_center*j/(fs*up))
+    and laid out for _downconvert's polyphase product.
+
+    Output p = up*a + b of upfirdn(g, x, up, down) is
+    sum_t g[up*t + s] * x[down*a + c - t], where b*down = up*c + s. With x
+    cut into rows x[down*q + col], col < down, t = c + down*k - col puts
+    row a - k against tap column k. Returns the read-only (down, ncols) tap
+    matrix, real and imaginary column of each k side by side; the groups
+    (b, k0, nk, col0), whose k = k0 + i reads columns col0 + 2*i and
+    col0 + 2*i + 1; up; down; and resample_poly's leading output skip."""
     ratio = Fraction(DEFAULT_GYRO_RATE, fs)
     up, down = ratio.numerator, ratio.denominator
     half_len = 10 * max(up, down)
@@ -218,21 +231,55 @@ def _shifted_lowpass(fs: int, f_center: float):
     h = np.concatenate([np.zeros(n_pre_pad), h])
     # phases in whole cycles modulo one, so long inputs keep their precision
     g = h * np.exp(2j * np.pi * (f_center * np.arange(len(h)) % (fs * up)) / (fs * up))
-    g_re, g_im = g.real.copy(), g.imag.copy()
-    g_re.flags.writeable = g_im.flags.writeable = False
-    return g_re, g_im, up, down, (half_len + n_pre_pad) // down
+    col = np.arange(down)[:, None]
+    columns, groups, col0 = [], [], 0
+    for b in range(up):
+        c, s = divmod(b * down, up)
+        # the taps g[up*t + s] past the leading zeros
+        t_lo, t_hi = -(-(n_pre_pad - s) // up), (len(g) - 1 - s) // up
+        k0 = -(-(t_lo - c) // down)
+        nk = (t_hi - c + down - 1) // down - k0 + 1
+        t = c + down * np.arange(k0, k0 + nk)[None, :] - col
+        inside = (t >= t_lo) & (t <= t_hi)
+        block = np.where(inside, g[up * np.clip(t, t_lo, t_hi) + s], 0.0)
+        groups.append((b, k0, nk, col0))
+        columns.append(np.stack([block.real, block.imag], axis=2).reshape(down, 2 * nk))
+        col0 += 2 * nk
+    taps = np.concatenate(columns, axis=1)
+    taps.flags.writeable = False
+    return taps, tuple(groups), up, down, (half_len + n_pre_pad) // down
 
 
 def _downconvert(x: np.ndarray, fs: int, f_center: float) -> np.ndarray:
     """resample_poly(x * exp(-2*pi*i*f_center*n/fs), up, down) from fs to the
-    gyro rate without the input-rate mixer: two real passes of the shifted
-    low-pass over the real input, then output p is multiplied by
-    exp(-2*pi*i*f_center*p/gyro rate)."""
-    g_re, g_im, up, down, skip = _shifted_lowpass(fs, f_center)
-    p = np.arange(skip, skip + -(-len(x) * up // down))  # resample_poly's slice
-    z = np.empty(len(p), dtype=np.complex128)
-    z.real = sps.upfirdn(g_re, x, up, down)[p]
-    z.imag = sps.upfirdn(g_im, x, up, down)[p]
+    gyro rate without the input-rate mixer: blocks of rows of `down` input
+    samples, viewed in place, times _shifted_lowpass's tap matrix, then the
+    product's columns added at their row shifts. Output p is then
+    multiplied by exp(-2*pi*i*f_center*p/gyro rate)."""
+    taps, groups, up, down, skip = _shifted_lowpass(fs, f_center)
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    n_out = -(-len(x) * up // down)  # resample_poly's length
+    full = len(x) // down
+    blocks = [(q0, x[q0 * down:min(q0 + DECIMATE_BLOCK_ROWS, full) * down].reshape(-1, down))
+              for q0 in range(0, full, DECIMATE_BLOCK_ROWS)]
+    if len(x) > full * down:
+        last = np.zeros((1, down))
+        last[0, :len(x) - full * down] = x[full * down:]
+        blocks.append((full, last))
+    z = np.zeros(n_out, dtype=np.complex128)
+    pairs = z.view(np.float64).reshape(n_out, 2)
+    for q0, rows in blocks:
+        prod = rows @ taps
+        for b, k0, nk, col0 in groups:
+            for i in range(nk):
+                # row q feeds output p = up*(q + k0 + i) + b, at z[p - skip]
+                off = up * (k0 + i) + b - skip
+                lo = max(q0, -(off // up))
+                hi = min(q0 + len(rows), (n_out - 1 - off) // up + 1)
+                if lo < hi:
+                    pairs[up * lo + off:up * (hi - 1) + off + 1:up] += \
+                        prod[lo - q0:hi - q0, col0 + 2 * i:col0 + 2 * i + 2]
+    p = np.arange(skip, skip + n_out)
     z *= np.exp(-2j * np.pi * (f_center * p % DEFAULT_GYRO_RATE) / DEFAULT_GYRO_RATE)
     return z
 
@@ -375,7 +422,11 @@ def apply_channel(w: Waveform, profile: DeviceProfile,
         if cond.noise_rms is not None:
             sigma = float(cond.noise_rms)
         else:
-            sent = base if received is w else _translate(w, profile)
+            # a longer jammer lengthens the trace; the sent waveform's
+            # silence pads it to match
+            sent = base if received is w else _translate(
+                Waveform(np.pad(w.samples, (0, len(received) - len(w))), w.sample_rate),
+                profile)
             sigma = _calibrate_sigma(sent, unit_noise, profile, float(cond.snr_db))
         data = data + sigma * unit_noise
     return GyroTrace.from_axes(data + np.asarray(DEFAULT_AXIS_BIAS)[None, :])

@@ -74,6 +74,7 @@ def cmd_receive(args) -> int:
 
 def cmd_sweep(args) -> int:
     profile = get_profile(args.profile, args.profile_dir)
+    calibration.check_threshold(args.threshold_db)
     chirp = generate_chirp(args.f_start, args.f_end, args.duration,
                            args.amplitude, args.sample_rate)
     cond = ChannelCondition(snr_db=args.snr_db, noise_seed=args.seed)

@@ -91,8 +91,9 @@ class Waveform:
         object.__setattr__(self, "samples", np.asarray(self.samples, dtype=np.float64))
         if self.sample_rate <= 0:
             raise ConfigError(f"sample_rate must be positive, got {self.sample_rate}")
-        # np.max propagates NaN, and NaN fails the comparison
-        if self.samples.size and not np.max(np.abs(self.samples)) <= 1.0 + 1e-9:
+        # np.max and np.min propagate NaN, and NaN fails the comparison
+        s = self.samples
+        if s.size and not (np.max(s) <= 1.0 + 1e-9 and np.min(s) >= -1.0 - 1e-9):
             raise ValueError("waveform samples must be finite and within [-1, +1]")
 
     def __len__(self):

@@ -206,6 +206,12 @@ class TestNoiseRule:
         if defence == "none":
             assert len(translated) == 1 and base is translated[0]
 
+    def test_jammer_longer_than_waveform(self):
+        jam = jam_waveform(JammerConfig(f_min=S10.band_lo, f_max=S10.band_hi, seed=3,
+                                        total_duration=2 * self.TONE.duration))
+        trace = apply_channel(self.TONE, S10, ChannelCondition(snr_db=20.0, jammer=jam))
+        assert len(trace) == len(_translate(jam, S10))
+
     def test_speaker_filter_costs_snr(self):
         fsk, rx = s10_rx()
         w = modem_tx.transmit_frames([(1, 0, 1, 1, 0, 0, 1, 1, 1, 0, 0, 0)], fsk, gap=0.0)
@@ -361,6 +367,22 @@ class TestTranslateAccuracy:
         x = rng.uniform(-1.0, 1.0, n)
         ref = reference_downconvert(x, fs, f_center)
         got = _downconvert(x, fs, f_center)
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= TRANSLATE_RTOL * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("fs,block_rows", [
+        (48000, channel.DECIMATE_BLOCK_ROWS), (44100, 512), (48000, 3), (44100, 3)])
+    def test_downconvert_block_seams(self, monkeypatch, fs, block_rows):
+        # four row blocks and a partial last row; 3-row blocks are shorter
+        # than the filter, so each output sums rows of several blocks. At
+        # 44.1 kHz a smaller block keeps the input short enough for the
+        # reference's mixer, whose phase error grows with the sample index.
+        monkeypatch.setattr(channel, "DECIMATE_BLOCK_ROWS", block_rows)
+        down = Fraction(DEFAULT_GYRO_RATE, fs).denominator
+        n = (3 * block_rows + 2) * down + down // 2
+        x = np.random.default_rng(block_rows).uniform(-1.0, 1.0, n)
+        ref = reference_downconvert(x, fs, 19038.5)
+        got = _downconvert(x, fs, 19038.5)
         assert got.shape == ref.shape
         assert np.max(np.abs(got - ref)) <= TRANSLATE_RTOL * np.max(np.abs(ref))
 

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from gyromodem import cli
 from gyromodem.channel import get_profile
 from gyromodem.cli import main
 from gyromodem.modem_tx import import_wav
@@ -104,6 +105,16 @@ class TestPipeline:
         assert len(rows) == 1 and rows[0].split(",")[1] == "010000010000"
 
 
+    def test_jammer_longer_than_signal(self, tmp_path):
+        wav, jam, trace = tmp_path / "a.wav", tmp_path / "jam.wav", tmp_path / "trace.csv"
+        assert run("transmit", "--profile", "s10", "--text", "A", "--out", wav) == 0
+        assert run("jam", "--f-min", "19000", "--f-max", "19077", "--max-volume", "0.2",
+                   "--duration", import_wav(wav).duration + 2.0, "--seed", "5",
+                   "--out", jam) == 0
+        assert run("simulate", "--profile", "s10", "--wav", wav, "--jammer-wav", jam,
+                   "--snr-db", "20", "--out", trace) == 0
+
+
 class TestSweep:
     def test_band_survey(self, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -130,6 +141,16 @@ class TestUnusableInput:
                    "--duration", "2", "--threshold-db", "nan", "--out", out) == 1
         assert "threshold_db" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("threshold", ["nan", "0"])
+    def test_sweep_threshold_checked_before_simulation(self, tmp_path, monkeypatch,
+                                                       threshold):
+        calls = []
+        monkeypatch.setattr(cli, "apply_channel", lambda *args: calls.append(args))
+        assert run("sweep", "--profile", "s10", "--f-start", "18900", "--f-end", "19200",
+                   "--duration", "2", "--threshold-db", threshold,
+                   "--out", tmp_path / "sweep.csv") == 1
+        assert calls == []
 
     @pytest.mark.parametrize("field", ["gyro_max_freq", "response_amplitude"])
     def test_zero_profile_field_fails(self, tmp_path, capsys, field):
