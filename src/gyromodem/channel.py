@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import warnings
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -25,8 +26,8 @@ from scipy import signal as sps
 
 from .countermeasure import lowpass
 from .sigcore import (DEFAULT_GYRO_RATE, TONE_FFT_SIZE, GyroTrace, Waveform,
-                      active_snr_db, bin_index, frame_spectra, from_dict,
-                      tone_power)
+                      _median_inplace, _noise_bins, active_snr_db, bin_index,
+                      frame_spectra, from_dict)
 
 # Critical in-band drive level past which the MEMS resonance response
 # collapses. Units are complex-envelope acoustic amplitude: a full-scale
@@ -354,29 +355,46 @@ def _shaped_noise(n: int, rng: np.random.Generator,
 
 def _calibrate_sigma(base: np.ndarray, unit_noise: np.ndarray,
                      profile: DeviceProfile, snr_db: float) -> float:
-    """Binary-search the noise scale until the tone-SNR estimator (best axis,
-    like the receiver's) reads snr_db on each weighted axis of base plus sigma*noise."""
+    """The noise scale at which the tone-SNR estimator (best axis, like the
+    receiver's) reads snr_db on the weighted axes of base plus sigma*noise,
+    searched by _log_crossing on [1e-9, 1e4] times the clean rms. The
+    estimator is not monotonic in sigma: the result is a crossing, reading
+    above snr_db just below it and not above it just over it."""
     axes = [ax for ax in range(3) if profile.axis_weights[ax] > 0]
-    clean = [profile.response_amplitude * base * profile.axis_weights[ax] for ax in axes]
-
-    # the estimator's spectra are linear in their input, so precompute the
-    # clean and unit-noise spectra once and evaluate every candidate sigma
-    # without another FFT
-    gbins = [bin_index(gyro_frequency(f, profile), TONE_FFT_SIZE, DEFAULT_GYRO_RATE)
-             for f in profile.fsk_pair]
-    spec_pairs = [(frame_spectra(c, TONE_FFT_SIZE),
-                   frame_spectra(unit_noise[:, ax], TONE_FFT_SIZE))
-                  for c, ax in zip(clean, axes)]
-
-    def measured(sigma: float) -> float:
-        return max(active_snr_db(*tone_power(np.abs(sc + sigma * sn) ** 2, gbins))
-                   for sc, sn in spec_pairs)
-
-    rms = float(np.sqrt(np.mean(clean[0] ** 2)))
+    clean0 = profile.response_amplitude * base * profile.axis_weights[axes[0]]
+    rms = float(np.sqrt(np.mean(clean0 ** 2)))
     if rms <= 1e-12:
         # silence in, noise out: anchor the level to a nominal 20%-volume tone
         ref = 0.2 * profile.response_amplitude * max(profile.axis_weights)
         return ref / 10 ** (snr_db / 20.0)
+
+    # the estimator's spectra are linear in their input, so on each axis
+    # |c + sigma*n|^2 = A + sigma*(B + sigma*C) for the clean spectra c and
+    # the unit-noise spectra n. A, B and C are kept on the tone bins and the
+    # noise-floor bins only, laid out (bin, frame) so that the floor bins are
+    # one contiguous block.
+    gbins = tuple(bin_index(gyro_frequency(f, profile), TONE_FFT_SIZE, DEFAULT_GYRO_RATE)
+                  for f in profile.fsk_pair)
+    keep = np.concatenate([gbins, _noise_bins(TONE_FFT_SIZE // 2 + 1, gbins)])
+    c = frame_spectra(base, TONE_FFT_SIZE)[:, keep].T
+    c2 = np.abs(c) ** 2
+    quads = []
+    for ax in axes:
+        n = frame_spectra(unit_noise[:, ax], TONE_FFT_SIZE)[:, keep].T
+        gain = profile.response_amplitude * profile.axis_weights[ax]
+        quads.append((gain ** 2 * c2, 2 * gain * (c.conj() * n).real,
+                      np.abs(n) ** 2, np.empty(c.shape)))
+
+    def measured(sigma: float) -> float:
+        for quad_a, quad_b, quad_c, power in quads:
+            np.multiply(quad_c, sigma, out=power)
+            np.add(power, quad_b, out=power)
+            np.multiply(power, sigma, out=power)
+            np.add(power, quad_a, out=power)
+        return max(active_snr_db(power[:len(gbins)].max(axis=0),
+                                 _median_inplace(power[len(gbins):]))
+                   for *_, power in quads)
+
     lo, hi = rms * 1e-9, rms * 1e4
     ceiling = measured(lo)
     if ceiling < snr_db:
@@ -390,13 +408,47 @@ def _calibrate_sigma(base: np.ndarray, unit_noise: np.ndarray,
             f"requested SNR {snr_db} dB below the estimator floor "
             f"({floor_db:.1f} dB); returning the noisiest channel")
         return hi
-    for _ in range(48):
-        mid = np.sqrt(lo * hi)
-        if measured(mid) > snr_db:
-            lo = mid
+
+    return _log_crossing(lambda sigma: measured(sigma) - snr_db, lo, hi,
+                         ceiling - snr_db, floor_db - snr_db)
+
+
+# log-sigma width of the bracket at which the sigma search stops
+SIGMA_LOG_TOL = 1e-12
+
+
+def _log_crossing(excess, lo: float, hi: float, excess_lo: float,
+                  excess_hi: float) -> float:
+    """A sigma where excess turns from above 0 to not above it, given its
+    values excess_lo >= 0 at lo and excess_hi <= 0 at hi: Illinois regula
+    falsi in log sigma until the bracket is SIGMA_LOG_TOL wide, then the
+    bracket's middle. A step bisects once the evaluations left would not
+    cover a bisection to that width, so no search takes more than twice
+    bisection's count."""
+    a, b, fa, fb = math.log(lo), math.log(hi), excess_lo, excess_hi
+    steps_left = 2 * math.ceil(math.log2((b - a) / SIGMA_LOG_TOL))
+    moved = 0  # +1 after a step that moved a, -1 after one that moved b
+    while b - a > SIGMA_LOG_TOL:
+        x = 0.5 * (a + b)
+        # fa >= 0 >= fb, equal only if both are 0
+        if fa > fb and steps_left > math.ceil(math.log2((b - a) / SIGMA_LOG_TOL)):
+            secant = a + (b - a) * fa / (fa - fb)
+            if a < secant < b:
+                x = secant
+        steps_left -= 1
+        fx = excess(math.exp(x))
+        if fx > 0:
+            a, fa = x, fx
+            # Illinois: an end left in place twice running has its value halved
+            if moved > 0:
+                fb *= 0.5
+            moved = 1
         else:
-            hi = mid
-    return float(np.sqrt(lo * hi))
+            b, fb = x, fx
+            if moved < 0:
+                fa *= 0.5
+            moved = -1
+    return math.exp(0.5 * (a + b))
 
 
 def apply_channel(w: Waveform, profile: DeviceProfile,

@@ -143,13 +143,6 @@ def run_ber_experiment(cfg: ExperimentConfig, profile_dir=None) -> BerTable:
     return table
 
 
-def effective_data_rate(bit_time: float,
-                        gap: float = modem_tx.DEFAULT_FRAME_GAP) -> Tuple[float, float]:
-    """(payload bits/s, raw channel bits/s) for the 17-bit frame format."""
-    payload_rate = framing.PAYLOAD_BITS / (framing.FRAME_BITS * bit_time + gap)
-    return payload_rate, 1.0 / bit_time
-
-
 def emit_spectrogram(source: Union[Waveform, GyroTrace], fft_size: int,
                      noverlap: int, destination) -> None:
     """CSV matrix: first row frequency bins (Hz), first column frame start

@@ -63,12 +63,6 @@ def bfsk_config(f0: float, f1: float, bit_time: float,
     return FskConfig(tone_freqs=(f0, f1), bit_time=bit_time, amplitude=amplitude)
 
 
-def symbol_frequency(symbol: int, cfg: FskConfig) -> float:
-    if not 0 <= symbol < cfg.order:
-        raise ValueError(f"symbol {symbol} out of range for order {cfg.order}")
-    return cfg.tone_freqs[symbol]
-
-
 def bits_to_symbols(bits: Sequence[int], bits_per_symbol: int) -> Tuple[int, ...]:
     if len(bits) % bits_per_symbol:
         raise ValueError(

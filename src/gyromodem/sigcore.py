@@ -224,8 +224,8 @@ def frame_spectra(x: np.ndarray, fft_size: int) -> np.ndarray:
 @lru_cache(maxsize=64)
 def _noise_bins(n_bins: int, tone_bins: Tuple[int, ...]) -> np.ndarray:
     """Every bin except DC, bin 1 and the tone bins with two neighbours on
-    each side; cached because the channel's sigma search asks up to 150
-    times per trace."""
+    each side; cached because the receiver and the channel's sigma search
+    ask for the same few bin sets on every trace."""
     excluded = {b + d for b in tone_bins for d in (-2, -1, 0, 1, 2)} | {0, 1}
     bins = np.array([b for b in range(n_bins) if b not in excluded], dtype=np.intp)
     bins.flags.writeable = False

@@ -2,9 +2,11 @@
 
 import dataclasses
 import json
+import math
 import tracemalloc
 import warnings
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -20,13 +22,17 @@ from gyromodem.channel import (
     OVERLOAD_PHASE_SPREAD,
     PAD_SECONDS,
     SATURATION_LEVEL,
+    SIGMA_LOG_TOL,
     ChannelCondition,
     ChannelError,
     GyroTrace,
+    _calibrate_sigma,
     _complex_shift,
     _downconvert,
+    _log_crossing,
     _lowpass_taps,
     _saturate,
+    _shaped_noise,
     _translate,
     apply_channel,
     distance_to_snr,
@@ -40,9 +46,9 @@ from gyromodem.channel import (
 )
 from gyromodem.countermeasure import JammerConfig, jam_waveform
 from gyromodem.harness import demod_config_for
-from gyromodem.sigcore import (DEFAULT_GYRO_RATE, ConfigError, Waveform,
-                               frame_spectra, frames, generate_chirp,
-                               generate_sine, tone_power)
+from gyromodem.sigcore import (DEFAULT_GYRO_RATE, TONE_FFT_SIZE, ConfigError, Waveform,
+                               _noise_bins, active_snr_db, bin_index, frame_spectra,
+                               frames, generate_chirp, generate_sine, tone_power)
 
 S10 = get_profile("s10")
 S9 = get_profile("s9")
@@ -243,6 +249,105 @@ class TestUnusableInput:
             dataclasses.replace(S10, **{field: value})
 
 
+def materialised_snr_db(base, unit_noise, profile, sigma):
+    """The estimator _calibrate_sigma drives, on materialised axes: the best
+    weighted axis of base plus sigma*noise, each framed and transformed."""
+    bins = [bin_index(gyro_frequency(f, profile), TONE_FFT_SIZE, DEFAULT_GYRO_RATE)
+            for f in profile.fsk_pair]
+    return max(
+        active_snr_db(*tone_power(np.abs(frame_spectra(
+            profile.response_amplitude * base * w + sigma * unit_noise[:, ax],
+            TONE_FFT_SIZE)) ** 2, bins))
+        for ax, w in enumerate(profile.axis_weights) if w > 0)
+
+
+def reference_calibrate_sigma(base, unit_noise, profile, snr_db):
+    """The former search: two probes and 48 bisection steps in log sigma,
+    each scoring every bin of the linear spectra."""
+    axes = [ax for ax in range(3) if profile.axis_weights[ax] > 0]
+    clean = [profile.response_amplitude * base * profile.axis_weights[ax] for ax in axes]
+    gbins = [bin_index(gyro_frequency(f, profile), TONE_FFT_SIZE, DEFAULT_GYRO_RATE)
+             for f in profile.fsk_pair]
+    spec_pairs = [(frame_spectra(c, TONE_FFT_SIZE),
+                   frame_spectra(unit_noise[:, ax], TONE_FFT_SIZE))
+                  for c, ax in zip(clean, axes)]
+
+    def measured(sigma):
+        return max(active_snr_db(*tone_power(np.abs(sc + sigma * sn) ** 2, gbins))
+                   for sc, sn in spec_pairs)
+
+    rms = float(np.sqrt(np.mean(clean[0] ** 2)))
+    lo, hi = rms * 1e-9, rms * 1e4
+    if measured(lo) < snr_db:
+        return lo
+    if measured(hi) > snr_db:
+        return hi
+    for _ in range(48):
+        mid = np.sqrt(lo * hi)
+        if measured(mid) > snr_db:
+            lo = mid
+        else:
+            hi = mid
+    return float(np.sqrt(lo * hi))
+
+
+SEARCH_PROFILES = {"oneplus7": 2, "s9": 2, "s10": 2, "s10_mfsk": 32}
+
+
+@lru_cache(maxsize=64)
+def search_inputs(name, noise_seed):
+    """(profile, base, unit noise) for _calibrate_sigma: _translate of one
+    payload frame, B-FSK or 32-FSK as the profile is used, and seeded noise."""
+    profile = get_profile(name)
+    base = _translate(payload_frame(name, order=SEARCH_PROFILES[name]), profile)
+    return profile, base, _shaped_noise(len(base), np.random.default_rng(noise_seed), profile)
+
+
+def calibrate(name, noise_seed, snr_db):
+    """(sigma, warning texts, estimator evaluations) of one _calibrate_sigma
+    call; every evaluation scores each weighted axis once."""
+    profile, base, noise = search_inputs(name, noise_seed)
+    calls = []
+    real = channel.active_snr_db
+    channel.active_snr_db = lambda *args: calls.append(1) or real(*args)
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            sigma = _calibrate_sigma(base, noise, profile, snr_db)
+    finally:
+        channel.active_snr_db = real
+    axes = sum(w > 0 for w in profile.axis_weights)
+    return sigma, [str(w.message) for w in caught], len(calls) // axes
+
+
+GRID_SNRS = (5.0, 8.0, 10.0, 12.0, 15.0, 20.0, 25.0, 30.0, 35.0)
+
+
+@lru_cache(maxsize=None)
+def search_grid():
+    """(profile, noise seed, snr_db, sigma, warnings, evaluations, reference
+    sigma) over every profile, noise seeds 0 and 1 and GRID_SNRS."""
+    rows = []
+    for name in SEARCH_PROFILES:
+        for seed in (0, 1):
+            profile, base, noise = search_inputs(name, seed)
+            for snr in GRID_SNRS:
+                rows.append((name, seed, snr) + calibrate(name, seed, snr)
+                            + (reference_calibrate_sigma(base, noise, profile, snr),))
+    return rows
+
+
+def snr_at(name, noise_seed, sigma):
+    profile, base, noise = search_inputs(name, noise_seed)
+    return materialised_snr_db(base, noise, profile, sigma)
+
+
+def assert_crossing(name, noise_seed, snr_db, sigma):
+    """The estimator reads above snr_db just below sigma, not above it just over."""
+    assert snr_at(name, noise_seed, sigma * (1 - 1e-9)) > snr_db
+    assert snr_at(name, noise_seed, sigma * (1 + 1e-9)) <= snr_db
+
+
 class TestCalibrateSigma:
     @settings(max_examples=25, deadline=None)
     @given(n=st.integers(128, 3000),
@@ -250,26 +355,85 @@ class TestCalibrateSigma:
            bins=st.lists(st.integers(0, 64), min_size=1, max_size=4),
            seed=st.integers(0, 2 ** 32 - 1))
     def test_linear_spectra_match_materialised(self, n, log_sigma, bins, seed):
-        # _calibrate_sigma scores each sigma on spec(clean) + sigma*spec(noise)
+        # _calibrate_sigma scores each sigma on |c + sigma*n|^2 for the
+        # spectra c of the clean input and n of the noise, expanded to
+        # A + sigma*(B + sigma*C) on the tone and noise-floor bins
         rng = np.random.default_rng(seed)
         clean, noise = rng.standard_normal((2, n))
         sigma = 10.0 ** log_sigma
-        fast = np.abs(frame_spectra(clean, 128) + sigma * frame_spectra(noise, 128)) ** 2
+        c, nz = frame_spectra(clean, 128), frame_spectra(noise, 128)
+        fast = np.abs(c + sigma * nz) ** 2
         ref = np.abs(frame_spectra(clean + sigma * noise, 128)) ** 2
+        keep = np.concatenate([bins, _noise_bins(c.shape[1], tuple(bins))])
+        c, nz = c[:, keep], nz[:, keep]
+        quad = np.abs(c) ** 2 + sigma * (2 * (c.conj() * nz).real + sigma * np.abs(nz) ** 2)
+        quad_sig, quad_floor = quad[:, :len(bins)].max(axis=1), np.median(quad[:, len(bins):])
         (fast_sig, fast_floor), (ref_sig, ref_floor) = (
             tone_power(fast, bins), tone_power(ref, bins))
         # rounding error is absolute, on the scale of the strongest bin
         atol = 1e-12 * float(ref.max())
-        np.testing.assert_allclose(fast_sig, ref_sig, rtol=1e-9, atol=atol)
-        assert fast_floor == pytest.approx(ref_floor, rel=1e-9, abs=atol)
+        for got_sig, got_floor in ((fast_sig, fast_floor), (quad_sig, quad_floor)):
+            np.testing.assert_allclose(got_sig, ref_sig, rtol=1e-9, atol=atol)
+            assert got_floor == pytest.approx(ref_floor, rel=1e-9, abs=atol)
+
+    @settings(max_examples=30, deadline=None)
+    @given(name=st.sampled_from(sorted(SEARCH_PROFILES)),
+           noise_seed=st.integers(0, 2 ** 16),
+           snr_db=st.floats(5.0, 35.0))
+    def test_returns_a_crossing(self, name, noise_seed, snr_db):
+        sigma, texts, _ = calibrate(name, noise_seed, snr_db)
+        if not texts:
+            assert_crossing(name, noise_seed, snr_db, sigma)
+        elif "leakage-limited" in texts[0]:
+            assert snr_at(name, noise_seed, sigma) < snr_db
+        else:
+            assert "noisiest channel" in texts[0]
+            assert snr_at(name, noise_seed, sigma) > snr_db
+
+    def test_evaluation_count(self):
+        # the bisection took 50 evaluations a search; 96 is twice its 48
+        # steps, and the safeguard holds a search to 92
+        counts = [evals for *_, texts, evals, _ in search_grid() if not texts]
+        assert len(counts) >= 40
+        assert np.mean(counts) <= 25
+        assert max(counts) <= 96
+
+    @pytest.mark.parametrize("far_side", [1e-6, 1e6])
+    def test_jump_search_within_twice_bisection(self, far_side):
+        # a crossing that is a jump between values a million times apart:
+        # regula falsi alone creeps towards it from the smaller side
+        jump, seen = 0.123456, []
+
+        def excess(sigma):
+            seen.append(sigma)
+            return 1.0 if math.log(sigma) < jump else -far_side
+
+        sigma = _log_crossing(excess, math.exp(-20.0), math.exp(10.0), 1.0, -far_side)
+        assert abs(math.log(sigma) - jump) <= SIGMA_LOG_TOL
+        assert len(seen) <= 2 * math.ceil(math.log2(30.0 / SIGMA_LOG_TOL))
+
+    def test_matches_reference_bisection(self):
+        # both searches stop within 1e-12 in log sigma of a crossing, but the
+        # estimator is not monotonic and may cross snr_db more than once
+        rows = search_grid()
+        moved = []
+        for name, seed, snr, sigma, texts, _, ref in rows:
+            if texts:
+                assert sigma == ref
+            elif sigma != pytest.approx(ref, rel=2e-12):
+                assert_crossing(name, seed, snr, sigma)
+                moved.append((name, seed, snr))
+        assert len(moved) <= len(rows) // 20, moved
 
 
 def reference_downconvert(x, fs, f_center):
     """The former front end: an input-rate mixer over the whole signal, then
-    resample_poly of the complex result."""
+    resample_poly of the complex result. The mixer's phase is taken in whole
+    cycles modulo one, as _shifted_lowpass takes it, so its error does not
+    grow with the sample index."""
     ratio = Fraction(DEFAULT_GYRO_RATE, fs)
-    return sps.resample_poly(_complex_shift(x, -f_center, fs),
-                             ratio.numerator, ratio.denominator)
+    mixed = x * np.exp(-2j * np.pi * (f_center * np.arange(len(x)) % fs) / fs)
+    return sps.resample_poly(mixed, ratio.numerator, ratio.denominator)
 
 
 def reference_unsaturated(w, profile):
@@ -374,15 +538,23 @@ class TestTranslateAccuracy:
         (48000, channel.DECIMATE_BLOCK_ROWS), (44100, 512), (48000, 3), (44100, 3)])
     def test_downconvert_block_seams(self, monkeypatch, fs, block_rows):
         # four row blocks and a partial last row; 3-row blocks are shorter
-        # than the filter, so each output sums rows of several blocks. At
-        # 44.1 kHz a smaller block keeps the input short enough for the
-        # reference's mixer, whose phase error grows with the sample index.
+        # than the filter, so each output sums rows of several blocks
         monkeypatch.setattr(channel, "DECIMATE_BLOCK_ROWS", block_rows)
         down = Fraction(DEFAULT_GYRO_RATE, fs).denominator
         n = (3 * block_rows + 2) * down + down // 2
         x = np.random.default_rng(block_rows).uniform(-1.0, 1.0, n)
         ref = reference_downconvert(x, fs, 19038.5)
         got = _downconvert(x, fs, 19038.5)
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= TRANSLATE_RTOL * np.max(np.abs(ref))
+
+    def test_long_input_matches_mixer_reference(self):
+        # 5.4M samples at 44.1 kHz, about 122 s: the output's rotation and
+        # the reference's mixer both keep their phase precision over its
+        # length (a mixer over the raw sample index is 1.1e-9 off here)
+        x = np.random.default_rng(5).uniform(-1.0, 1.0, 5_400_007)
+        ref = reference_downconvert(x, 44100, 19038.5)
+        got = _downconvert(x, 44100, 19038.5)
         assert got.shape == ref.shape
         assert np.max(np.abs(got - ref)) <= TRANSLATE_RTOL * np.max(np.abs(ref))
 

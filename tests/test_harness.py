@@ -1,4 +1,4 @@
-"""Experiment runner, spectrogram export, and throughput accounting."""
+"""Experiment runner and spectrogram export."""
 
 import dataclasses
 import json
@@ -16,7 +16,6 @@ from gyromodem.harness import (
     DB_FLOOR,
     ExperimentConfig,
     demod_config_for,
-    effective_data_rate,
     emit_spectrogram,
     load_experiment_config,
     run_ber_experiment,
@@ -32,18 +31,6 @@ def read_matrix(path):
     times = np.array([float(r[0]) for r in rows[1:]])
     cells = np.array([[float(v) for v in r[1:]] for r in rows[1:]])
     return freqs, times, cells
-
-
-class TestEffectiveDataRate:
-    def test_slow_link(self):
-        payload_rate, raw_rate = effective_data_rate(0.7)
-        assert raw_rate == pytest.approx(1 / 0.7)
-        assert payload_rate == pytest.approx(12 / (17 * 0.7 + 0.5))
-
-    def test_fast_link(self):
-        payload_rate, raw_rate = effective_data_rate(0.125)
-        assert raw_rate == pytest.approx(8.0)
-        assert payload_rate == pytest.approx(4.571, abs=0.001)
 
 
 class TestExperimentConfig:

@@ -15,7 +15,6 @@ from gyromodem.modem_tx import (
     frame_bits_padded,
     import_wav,
     modulate,
-    symbol_frequency,
     transmit_frames,
     uniform_tones,
 )
@@ -47,24 +46,13 @@ class TestFskConfig:
         assert cfg.bits_per_symbol == 5
         assert cfg.symbol_time == pytest.approx(3.5)
 
-
-class TestSymbolFrequency:
-    def test_bfsk_pair(self):
-        cfg = s10_bfsk()
-        assert symbol_frequency(0, cfg) == 19065.0
-        assert symbol_frequency(1, cfg) == 19077.0
-
-    def test_mary_endpoints_and_spacing(self):
+    def test_uniform_tones_endpoints_and_spacing(self):
         cfg = FskConfig(tone_freqs=uniform_tones(19000, 19105, 32), bit_time=0.7)
-        assert symbol_frequency(0, cfg) == 19000.0
-        assert symbol_frequency(31, cfg) == 19105.0
+        assert cfg.tone_freqs[0] == 19000.0
+        assert cfg.tone_freqs[-1] == 19105.0
         spacing = np.diff(cfg.tone_freqs)
         assert np.allclose(spacing, 105 / 31)
         assert spacing[0] == pytest.approx(3.387, abs=0.001)
-
-    def test_out_of_range_symbol(self):
-        with pytest.raises(Exception):
-            symbol_frequency(2, s10_bfsk())
 
 
 class TestModulate:
