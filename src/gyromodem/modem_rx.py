@@ -122,50 +122,51 @@ def _slot_bits(combined: np.ndarray, first: np.ndarray, stop: np.ndarray) -> Lis
     return bits.tolist()
 
 
-def _sync_candidate(ones_before: np.ndarray, magnitudes: np.ndarray,
-                    floors: np.ndarray, centers: np.ndarray, end_idx: int,
-                    cfg: DemodConfig) -> Tuple[float, float, List[int]]:
-    """Score the best `1010` preamble alignment ending at window end_idx.
-    ones_before[s, i] counts the windows before i on stream s deciding 1.
+def _preamble_scores(ones_before: np.ndarray, power: np.ndarray,
+                     floors: np.ndarray, centers: np.ndarray,
+                     cfg: DemodConfig) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Score the best `1010` preamble alignment ending at every window.
+    ones_before[s, i] counts the windows before i on stream s deciding 1, and
+    power[s, i] is window i's peak tone power on stream s.
 
-    Returns (score, preamble start time, matching stream indices); score 0
-    with no matches means nothing cleared the agreement threshold."""
+    Returns (score, preamble start time, matching streams), shapes (n_win,),
+    (n_win,) and (n_win, streams); score 0 means no stream cleared both the
+    agreement threshold and the energy gate at that end window."""
+    rows = np.arange(len(centers))
     pre_dur = 4 * cfg.bit_time
-    t0 = centers[end_idx] - pre_dur + cfg.hop / DEFAULT_GYRO_RATE
-    best: Tuple[float, float, List[int]] = (0.0, t0, [])
     pattern = np.array(framing.SYNC_PATTERN)
-    # the five candidate starts (rows) by the four preamble slots (columns),
-    # each slot's windows cut at end_idx
-    cand_t0 = t0 + np.arange(-2, 3) * cfg.hop / DEFAULT_GYRO_RATE
-    slot_lo = cand_t0[:, None] + np.arange(len(pattern)) * cfg.bit_time
+    # every end window (rows) by the five candidate starts around the one
+    # that ends the preamble at that window
+    t0 = centers - pre_dur + cfg.hop / DEFAULT_GYRO_RATE
+    cand_t0 = t0[:, None] + np.arange(-2, 3) * cfg.hop / DEFAULT_GYRO_RATE
+    # by the four preamble slots, each slot's windows cut at the end window
+    slot_lo = cand_t0[..., None] + np.arange(len(pattern)) * cfg.bit_time
     first, stop = _slot_runs(centers, slot_lo, cfg.bit_time)
-    stop = np.minimum(stop, end_idx + 1)
+    stop = np.minimum(stop, rows[:, None, None] + 1)
     n = np.maximum(stop - first, 0)
-    ones = ones_before[:, stop] - ones_before[:, first]  # (streams, 5, 4)
+    ones = ones_before[:, stop] - ones_before[:, first]  # (streams, n_win, 5, 4)
     agree = np.where(pattern == 1, ones, n - ones) / np.maximum(n, 1)
     # a stream must agree at the threshold in every slot, and every slot
     # must hold a window
-    ok = (agree >= SYNC_AGREEMENT).all(axis=2) & (n > 0).all(axis=1)
-    score = agree[..., 0]
-    for slot in range(1, len(pattern)):
-        score = score + agree[..., slot]
-    for c in range(len(cand_t0)):
-        if not ok[:, c].any():
-            continue
-        # energy gate: the preamble must actually stand out of the noise
-        lo, hi = _slot_runs(centers, cand_t0[c], pre_dur)
-        matched, score_total = [], 0.0
-        for s in np.flatnonzero(ok[:, c]):
-            p = (magnitudes[s, lo:hi].max(axis=1) ** 2).mean()
-            if floors[s] > 0 and p < SYNC_ENERGY_GATE * floors[s]:
-                continue
-            if floors[s] <= 0 and p <= 0:
-                continue
-            matched.append(int(s))
-            score_total += float(score[s, c])
-        if matched and score_total > best[0]:
-            best = (score_total, cand_t0[c], matched)
-    return best
+    ok = (agree >= SYNC_AGREEMENT).all(axis=3) & (n > 0).all(axis=2)
+    # energy gate: the mean peak tone power over the preamble must stand out
+    # of the stream's noise floor (floors are medians of powers, never < 0)
+    lo, hi = _slot_runs(centers, cand_t0, pre_dur)
+    run = np.pad(np.cumsum(power, axis=1), ((0, 0), (1, 0)))
+    p = (run[:, hi] - run[:, lo]) / np.maximum(hi - lo, 1)
+    ok &= (p >= SYNC_ENERGY_GATE * floors[:, None, None]) & (p > 0)
+    # summed slot by slot, then over the passing streams in order
+    score = np.cumsum(agree, axis=3)[..., -1]
+    total = np.cumsum(np.where(ok, score, 0.0), axis=0)[-1]
+    best = total.argmax(axis=1)  # the first of the best candidates
+    return total[rows, best], cand_t0[rows, best], ok[:, rows, best].T
+
+
+def _first_at_or_after(windows: np.ndarray, k: int) -> Optional[int]:
+    """The first of the ascending window indices at or after k; None when
+    there is none. Both receivers walk their trace by this rule."""
+    i = int(np.searchsorted(windows, k))
+    return int(windows[i]) if i < len(windows) else None
 
 
 def _binary_demod(mags: np.ndarray, floors: np.ndarray, centers: np.ndarray,
@@ -174,25 +175,19 @@ def _binary_demod(mags: np.ndarray, floors: np.ndarray, centers: np.ndarray,
     # 0 only when the f0 magnitude strictly dominates; ties decode as 1
     decisions = mags[:, :, 1] >= mags[:, :, 0]
     ones_before = np.pad(np.cumsum(decisions, axis=1), ((0, 0), (1, 0)))
-    n_win = mags.shape[1]
+    score, starts, matched = _preamble_scores(ones_before, mags.max(axis=2) ** 2,
+                                              floors, centers, cfg)
+    fired = np.flatnonzero(score > 0)
     n4 = max(int(round(4 * cfg.windows_per_bit)), 4)
+    # a marginal stream can clear the threshold up to a bit early; look one
+    # bit-width further and keep the first best-aligned candidate
+    lookahead = int(np.ceil(cfg.windows_per_bit))
     frame_dur = framing.FRAME_BITS * cfg.bit_time
     payload_lo = np.arange(4, framing.FRAME_BITS) * cfg.bit_time
-    k = n4 - 1
-    while k < n_win:
-        score, t0, axes = _sync_candidate(ones_before, mags, floors, centers,
-                                          k, cfg)
-        if not axes:
-            k += 1
-            continue
-        # a marginal stream can clear the threshold up to a bit early; scan
-        # one bit-width further and keep the best-aligned candidate
-        lookahead = int(np.ceil(cfg.windows_per_bit))
-        for k2 in range(k + 1, min(k + 1 + lookahead, n_win)):
-            s2, t2, a2 = _sync_candidate(ones_before, mags, floors, centers,
-                                         k2, cfg)
-            if a2 and s2 > score:
-                score, t0, axes = s2, t2, a2
+    k = _first_at_or_after(fired, n4 - 1)
+    while k is not None:
+        k += int(score[k:k + lookahead + 1].argmax())
+        t0, axes = starts[k], np.flatnonzero(matched[k])
         report.sync_count += 1
         first, stop = _slot_runs(centers, t0 + payload_lo, cfg.bit_time)
         if (stop == first).any():
@@ -206,7 +201,8 @@ def _binary_demod(mags: np.ndarray, floors: np.ndarray, centers: np.ndarray,
         snr = _frame_snr(trace, cfg, t0, frame_dur)
         report.frames.append(RxFrame(payload, valid, snr, t0))
         # resume scanning after this frame
-        k = int(np.searchsorted(centers, t0 + frame_dur)) + n4 - 1
+        k = _first_at_or_after(
+            fired, int(np.searchsorted(centers, t0 + frame_dur)) + n4 - 1)
     return report
 
 
@@ -247,12 +243,9 @@ def _mary_demod(streams: np.ndarray, mags: np.ndarray, floors: np.ndarray,
     # long enough for any symbol slot after rounding its ends to samples
     probe = _tone_probe(cfg.g_freqs, DEFAULT_GYRO_RATE,
                         int(np.ceil(cfg.symbol_time * DEFAULT_GYRO_RATE)) + 1)
-    k = 0
-    n_win = len(centers)
-    while k < n_win:
-        if not active[k]:
-            k += 1
-            continue
+    onsets = np.flatnonzero(active)
+    k = _first_at_or_after(onsets, 0)
+    while k is not None:
         # onset: back up to the window start, demodulate one frame
         t0 = centers[k] - cfg.fft_size / (2 * DEFAULT_GYRO_RATE)
         report.sync_count += 1
@@ -281,7 +274,8 @@ def _mary_demod(streams: np.ndarray, mags: np.ndarray, floors: np.ndarray,
         payload, valid = framing.decode_frame(bits[:framing.FRAME_BITS])
         snr = _frame_snr(trace, cfg, best_t0, frame_dur)
         report.frames.append(RxFrame(payload, valid, snr, best_t0))
-        k = int(np.searchsorted(centers, best_t0 + frame_dur + cfg.symbol_time / 4))
+        k = _first_at_or_after(onsets, int(np.searchsorted(
+            centers, best_t0 + frame_dur + cfg.symbol_time / 4)))
     return report
 
 

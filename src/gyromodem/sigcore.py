@@ -173,15 +173,14 @@ def generate_chirp(f_start: float, f_end: float, duration: float, amplitude: flo
 
 def frames(x: np.ndarray, fft_size: int, noverlap: int) -> np.ndarray:
     """Every whole frame of x, shape (frames, fft_size); hop = fft_size -
-    noverlap."""
+    noverlap. A read-only view of x's samples, not a copy."""
     if not 0 <= noverlap < fft_size:
         raise ConfigError(f"noverlap {noverlap} must be in [0, fft_size={fft_size})")
     if len(x) < fft_size:
         raise ConfigError(f"input of {len(x)} samples shorter than fft_size {fft_size}")
-    hop = fft_size - noverlap
-    n_frames = (len(x) - fft_size) // hop + 1
-    index = np.arange(fft_size)[None, :] + hop * np.arange(n_frames)[:, None]
-    return np.asarray(x, dtype=np.float64)[index]
+    windows = np.lib.stride_tricks.sliding_window_view(
+        np.asarray(x, dtype=np.float64), fft_size)
+    return windows[::fft_size - noverlap]
 
 
 def magnitude_stream(trace: GyroTrace) -> np.ndarray:

@@ -22,9 +22,9 @@ from gyromodem.modem_rx import (
     _binary_demod,
     _frame_snr,
     _mary_demod,
+    _preamble_scores,
     _slot_bits,
     _streams,
-    _sync_candidate,
     _tone_energies,
     _tone_probe,
     _window_stats,
@@ -212,30 +212,40 @@ def ones_before(decisions):
     return np.pad(np.cumsum(decisions, axis=1), ((0, 0), (1, 0)))
 
 
-def sync_candidate(decisions, *rest):
-    return _sync_candidate(ones_before(decisions), *rest)
+def preamble_scores(decisions, magnitudes, floors, centers, cfg):
+    """_preamble_scores over every end window, fed as _binary_demod feeds it."""
+    return _preamble_scores(ones_before(decisions), magnitudes.max(axis=2) ** 2,
+                            floors, centers, cfg)
+
+
+def candidate(scores, end_idx):
+    """(score, preamble start time, matching streams) at one end window."""
+    score, starts, matched = scores
+    return float(score[end_idx]), starts[end_idx], np.flatnonzero(matched[end_idx]).tolist()
 
 
 class TestDetectSync:
     def test_clean_preamble_found(self):
-        score, t0, streams = sync_candidate(*synthetic_sync_inputs())
+        *args, end, cfg = synthetic_sync_inputs()
+        score, t0, streams = candidate(preamble_scores(*args, cfg), end)
         assert streams == [0] and score > 0
         assert t0 == pytest.approx(0.128, abs=0.2)
 
     def test_all_zero_not_found(self):
-        decisions, mags, floors, centers, end, cfg = synthetic_sync_inputs()
+        decisions, mags, floors, centers, _, cfg = synthetic_sync_inputs()
         decisions[:] = 0
-        score, _, streams = sync_candidate(decisions, mags, floors, centers,
-                                           end, cfg)
-        assert score == 0 and streams == []
+        score, _, matched = preamble_scores(decisions, mags, floors, centers, cfg)
+        assert not score.any() and not matched.any()
 
     def test_one_flip_per_bit_still_found(self):
-        score, _, streams = sync_candidate(*synthetic_sync_inputs(flip_per_bit=1))
+        *args, end, cfg = synthetic_sync_inputs(flip_per_bit=1)
+        score, _, streams = candidate(preamble_scores(*args, cfg), end)
         assert streams == [0] and score > 0
 
 
 def sync_candidate_reference(decisions, magnitudes, floors, centers, end_idx, cfg):
-    """The preamble search written stream by stream and slot by slot."""
+    """The preamble search at one end window, written stream by stream and
+    slot by slot, with the energy gate's mean taken by np.mean."""
     pre_dur = 4 * cfg.bit_time
     t0 = centers[end_idx] - pre_dur + cfg.hop / DEFAULT_GYRO_RATE
     best = (0.0, t0, [])
@@ -276,25 +286,38 @@ class TestSyncCandidateReference:
     @given(bit_time=st.floats(0.1, 1.0),
            extra_windows=st.integers(2, 40),
            flip=st.floats(0.0, 0.3),
+           at_end=st.booleans(),
            seed=st.integers(0, 2 ** 32 - 1))
-    def test_matches_reference(self, bit_time, extra_windows, flip, seed):
+    def test_matches_reference(self, bit_time, extra_windows, flip, at_end, seed):
         rng = np.random.default_rng(seed)
         cfg = DemodConfig(bit_time=bit_time, g_freqs=(65.0, 77.0))
+        hop_s = cfg.hop / DEFAULT_GYRO_RATE
         n_win = int(4 * cfg.windows_per_bit) + extra_windows
         centers = (np.arange(n_win) * cfg.hop + cfg.fft_size / 2) / DEFAULT_GYRO_RATE
         # a `1010` preamble at a random onset on every stream, then random
-        # flips; the search ends within two windows of the preamble's end
-        onset = rng.uniform(-bit_time / 4, centers[-1] - 3.5 * bit_time)
+        # flips; at_end puts its end within a hop of the last window, where a
+        # lookahead from it runs past the end of the trace
+        if at_end:
+            onset = centers[-1] - 4 * bit_time + rng.uniform(-hop_s, hop_s)
+        else:
+            onset = rng.uniform(-bit_time / 4, centers[-1] - 3.5 * bit_time)
         slot = np.floor((centers - onset) / bit_time).astype(int)
         clean = np.where((slot >= 0) & (slot < 4), (slot + 1) % 2,
                          rng.integers(0, 2, n_win))
         decisions = (clean ^ (rng.random((4, n_win)) < flip)).astype(np.int8)
-        magnitudes = rng.uniform(0.0, 1.0, (4, n_win, 2))
+        # some streams silent, some floors zero, so the gate sees p = 0 over
+        # both a zero and a nonzero floor
+        magnitudes = (rng.uniform(0.0, 1.0, (4, n_win, 2))
+                      * (rng.random((4, 1, 1)) < 0.75))
         floors = rng.uniform(0.0, 0.15, 4) * rng.integers(0, 2, 4)
-        end = np.searchsorted(centers, onset + 4 * bit_time) - 1 + rng.integers(-2, 3)
-        args = (decisions, magnitudes, floors, centers,
-                int(np.clip(end, 0, n_win - 1)), cfg)
-        assert sync_candidate(*args) == sync_candidate_reference(*args)
+        scores = preamble_scores(decisions, magnitudes, floors, centers, cfg)
+        for end in range(n_win):
+            want = sync_candidate_reference(decisions, magnitudes, floors,
+                                            centers, end, cfg)
+            score, t0, streams = candidate(scores, end)
+            assert (score, streams) == (want[0], want[2])
+            if streams:
+                assert t0 == want[1]
 
 
 def slot_bit(window_magnitudes):
@@ -382,14 +405,21 @@ class TestBinaryDemodReference:
            n_frames=st.integers(1, 3),
            integer_mags=st.booleans(),
            cut=st.floats(0.7, 1.0),
+           cut_after_preamble=st.booleans(),
            seed=st.integers(0, 2 ** 32 - 1))
-    def test_matches_reference(self, bit_time, n_frames, integer_mags, cut, seed):
+    def test_matches_reference(self, bit_time, n_frames, integer_mags, cut,
+                               cut_after_preamble, seed):
         rng = np.random.default_rng(seed)
         cfg = DemodConfig(bit_time=bit_time, g_freqs=(65.0, 77.0))
         frame_dur = FRAME_BITS * bit_time
         onsets = (np.cumsum(rng.uniform(0.1, 2.0, n_frames))
                   + np.arange(n_frames) * frame_dur)
         n_win = int(cut * (onsets[-1] + frame_dur + 0.5) * DEFAULT_GYRO_RATE / cfg.hop)
+        if cut_after_preamble:
+            # the trace ends within a bit of the last preamble's end, so the
+            # lookahead from its sync runs past the last window
+            pre_end = (onsets[-1] + 4 * bit_time) * DEFAULT_GYRO_RATE / cfg.hop
+            n_win = int(pre_end) + int(rng.integers(-1, np.ceil(cfg.windows_per_bit)))
         centers = (np.arange(n_win) * cfg.hop + cfg.fft_size / 2) / DEFAULT_GYRO_RATE
         # small integer magnitudes give even splits with equal and unequal
         # tone sums; uniform ones give sums that depend on summation order

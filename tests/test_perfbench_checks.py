@@ -1,10 +1,12 @@
-"""The benchmark's own correctness checks on each BER workload.
+"""The benchmark's own correctness checks on each workload.
 
 The modules under perfbench/ are imported as they are. A point the
-benchmark expects to be error-free that decodes wrong, or a jammed link
-whose BER is not above the workload's bound, fails here as it would fail
-the benchmark run's correctness check. The BER table of a run's first
-digest_frames operations must hash to the digest logged for its seed.
+benchmark expects to be error-free that decodes wrong, a jammed link whose
+BER is not above the workload's bound, or a long trace that does not decode
+to the payloads sent, fails here as it would fail the benchmark run's
+correctness check. The BER table (on rx_long, the decoded payloads) of a
+run's first digest_frames operations must hash to the digest logged for its
+seed.
 """
 
 import sys
@@ -18,8 +20,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import spec  # noqa: E402
 import workloads  # noqa: E402
 
-CASES = [(name, seed) for name in sorted(spec.WORKLOADS) if name.startswith("ber_")
-         for seed in spec.CHECKED_SEEDS]
+CASES = [(name, seed) for name in sorted(spec.WORKLOADS) for seed in spec.CHECKED_SEEDS]
 IDS = [f"{n}-seed{s}" for n, s in CASES]
 
 # perfbench/run.py digests, logged before the channel's front end was rewritten
@@ -30,6 +31,9 @@ LOGGED_DIGESTS = {
     ("ber_mfsk32_narrow", 2): "924a9d3692d0d91f",
     ("ber_jammed", 1): "0b20ec3e71c58688",
     ("ber_jammed", 2): "1763c0f1f921c84a",
+    # the payloads decoded from the 10-, 40- and 160-frame traces
+    ("rx_long", 1): "b970b1a8844d55f7",
+    ("rx_long", 2): "2a788913dc2f5b4e",
 }
 
 

@@ -11,6 +11,7 @@ from gyromodem.sigcore import (
     GyroTrace,
     Waveform,
     bin_index,
+    frame_spectra,
     frames,
     generate_chirp,
     generate_sine,
@@ -104,6 +105,15 @@ class TestStft:
         assert m[50] / np.sum(m) >= 0.99
 
 
+def frames_reference(x, fft_size, noverlap):
+    """The former sigcore.frames: a gather through an (frames, fft_size)
+    index matrix, which copies every frame."""
+    hop = fft_size - noverlap
+    n_frames = (len(x) - fft_size) // hop + 1
+    index = np.arange(fft_size)[None, :] + hop * np.arange(n_frames)[:, None]
+    return np.asarray(x, dtype=np.float64)[index]
+
+
 class TestFrames:
     @settings(max_examples=100, deadline=None)
     @given(n=st.integers(1, 600), fft_size=st.integers(1, 300), data=st.data())
@@ -123,6 +133,25 @@ class TestFrames:
         got = frames(x, fft_size, noverlap)
         assert got.shape == (len(expected), fft_size)
         assert np.array_equal(got, np.array(expected))
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 700), strided=st.booleans(), data=st.data())
+    def test_view_matches_gather_reference(self, n, strided, data):
+        fft_size = data.draw(st.integers(1, min(n, 300)))
+        noverlap = data.draw(st.integers(0, fft_size - 1))
+        seed = data.draw(st.integers(0, 2 ** 32 - 1))
+        # a column of an (n, 3) array, as the channel's sigma search passes
+        # its noise axes, or a contiguous stream
+        block = np.random.default_rng(seed).standard_normal((n, 3))
+        x = block[:, 1] if strided else block[:, 1].copy()
+        got = frames(x, fft_size, noverlap)
+        assert not got.flags.writeable
+        assert got.tobytes() == frames_reference(x, fft_size, noverlap).tobytes()
+        if fft_size < 4:  # frame_spectra hops a quarter window
+            return
+        ref = frames_reference(x, fft_size, fft_size - fft_size // 4)
+        ref = np.fft.rfft(ref - ref.mean(axis=1, keepdims=True), axis=1)
+        assert frame_spectra(x, fft_size).tobytes() == ref.tobytes()
 
 
 class TestVectorMagnitude:
