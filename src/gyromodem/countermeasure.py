@@ -8,7 +8,7 @@ from typing import Optional
 import numpy as np
 from scipy import signal as sps
 
-from .sigcore import DEFAULT_AUDIO_RATE, FrequencyRangeError, Waveform
+from .sigcore import DEFAULT_AUDIO_RATE, FrequencyRangeError, Waveform, fill_tone
 
 RAMP_SECONDS = 0.005  # raised-cosine edges keep jam energy inside the band
 
@@ -37,13 +37,13 @@ class JammerConfig:
             raise ValueError("total_duration must be positive")
 
 
-def _ramped(tone: np.ndarray, ramp_len: int) -> np.ndarray:
+def _ramp(tone: np.ndarray, ramp_len: int) -> None:
+    """Raised-cosine fade in and out over ramp_len samples, in place."""
     n = min(ramp_len, len(tone) // 2)
     if n > 0:
         edge = 0.5 * (1 - np.cos(np.pi * np.arange(n) / n))
         tone[:n] *= edge
         tone[-n:] *= edge[::-1]
-    return tone
 
 
 def jam_waveform(cfg: JammerConfig,
@@ -67,9 +67,9 @@ def jam_waveform(cfg: JammerConfig,
         n = int(round(duration * sample_rate))
         n = min(n, total - pos)
         if n > 0:
-            t = np.arange(n) / sample_rate
-            tone = volume * np.sin(2 * np.pi * freq * t)
-            out[pos:pos + n] = _ramped(tone, ramp_len)
+            burst = out[pos:pos + n]
+            fill_tone(burst, freq, sample_rate, 0, volume)
+            _ramp(burst, ramp_len)
             pos += n
         gap = cfg.T * (1.0 - rng.uniform(0.0, 1.0))
         pos += int(round(gap * sample_rate))

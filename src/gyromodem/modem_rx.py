@@ -15,8 +15,13 @@ from .sigcore import (DEFAULT_GYRO_RATE, TONE_FFT_SIZE, ConfigError, GyroTrace,
 
 DEFAULT_SMOOTHING = 4
 SYNC_AGREEMENT = 0.75
-# mean preamble-bin power must clear the trace noise floor by this factor
-# before a sync is accepted; bounds the false-sync rate on pure noise
+# B-FSK: over the four preamble slots, the power of the tone each slot should
+# carry must exceed that of the other tone by this factor (4.8 dB). The two
+# tones sit 3-4 bins apart, where the coloured noise floor is flat, so on
+# noise the ratio is about 1; the trace-wide median floor is no reference
+# there, as the smoothed noise is strongest in the low bins that hold the tones
+SYNC_CONTRAST = 3.0
+# M-FSK: in-band window power must clear the trace noise floor by this factor
 SYNC_ENERGY_GATE = 4.0
 
 
@@ -94,14 +99,16 @@ def _streams(trace: GyroTrace) -> np.ndarray:
 
 
 def _window_stats(streams: np.ndarray, cfg: DemodConfig):
-    """Per-stream, per-window magnitudes at the tone bins plus the noise
-    floor (sigcore.tone_power)."""
+    """Per-stream, per-window magnitudes at the tone bins, shape (4, n_win,
+    M), and for an M-ary grid each stream's noise floor (sigcore.tone_power),
+    shape (4,); None for B-FSK, whose sync gate needs no floor."""
     mags, floors = [], []
     for row in streams:
         mag = np.abs(frame_spectra(row, cfg.fft_size))
-        floors.append(tone_power(mag ** 2, cfg.bins)[1])
+        if cfg.order > 2:
+            floors.append(tone_power(mag ** 2, cfg.bins)[1])
         mags.append(mag[:, cfg.bins])
-    return np.array(mags), np.array(floors)  # (4, n_win, M), (4,)
+    return np.array(mags), np.array(floors) if floors else None
 
 
 def _slot_runs(centers: np.ndarray, lo, width: float):
@@ -122,16 +129,16 @@ def _slot_bits(combined: np.ndarray, first: np.ndarray, stop: np.ndarray) -> Lis
     return bits.tolist()
 
 
-def _preamble_scores(ones_before: np.ndarray, power: np.ndarray,
-                     floors: np.ndarray, centers: np.ndarray,
+def _preamble_scores(ones_before: np.ndarray, power_before: np.ndarray,
+                     centers: np.ndarray,
                      cfg: DemodConfig) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Score the best `1010` preamble alignment ending at every window.
     ones_before[s, i] counts the windows before i on stream s deciding 1, and
-    power[s, i] is window i's peak tone power on stream s.
+    power_before[t, s, i] sums tone t's power over those windows.
 
     Returns (score, preamble start time, matching streams), shapes (n_win,),
     (n_win,) and (n_win, streams); score 0 means no stream cleared both the
-    agreement threshold and the energy gate at that end window."""
+    agreement threshold and the tone contrast at that end window."""
     rows = np.arange(len(centers))
     pre_dur = 4 * cfg.bit_time
     pattern = np.array(framing.SYNC_PATTERN)
@@ -149,12 +156,15 @@ def _preamble_scores(ones_before: np.ndarray, power: np.ndarray,
     # a stream must agree at the threshold in every slot, and every slot
     # must hold a window
     ok = (agree >= SYNC_AGREEMENT).all(axis=3) & (n > 0).all(axis=2)
-    # energy gate: the mean peak tone power over the preamble must stand out
-    # of the stream's noise floor (floors are medians of powers, never < 0)
-    lo, hi = _slot_runs(centers, cand_t0, pre_dur)
-    run = np.pad(np.cumsum(power, axis=1), ((0, 0), (1, 0)))
-    p = (run[:, hi] - run[:, lo]) / np.maximum(hi - lo, 1)
-    ok &= (p >= SYNC_ENERGY_GATE * floors[:, None, None]) & (p > 0)
+    # tone contrast: summed over the slots' windows, the tone the pattern
+    # sends must beat the other one by SYNC_CONTRAST (a silent stream fails)
+    on = off = 0.0
+    for slot, bit in enumerate(pattern):
+        # both tones' power over the slot, (2, streams, n_win, 5)
+        tone = (power_before[:, :, stop[..., slot]]
+                - power_before[:, :, first[..., slot]])
+        on, off = on + tone[bit], off + tone[1 - bit]
+    ok &= (on >= SYNC_CONTRAST * off) & (on > 0)
     # summed slot by slot, then over the passing streams in order
     score = np.cumsum(agree, axis=3)[..., -1]
     total = np.cumsum(np.where(ok, score, 0.0), axis=0)[-1]
@@ -169,14 +179,19 @@ def _first_at_or_after(windows: np.ndarray, k: int) -> Optional[int]:
     return int(windows[i]) if i < len(windows) else None
 
 
-def _binary_demod(mags: np.ndarray, floors: np.ndarray, centers: np.ndarray,
+def _running(x: np.ndarray) -> np.ndarray:
+    """Sums of x along its last axis over every prefix, a leading 0 first."""
+    pad = [(0, 0)] * (x.ndim - 1) + [(1, 0)]
+    return np.pad(np.cumsum(x, axis=-1), pad)
+
+
+def _binary_demod(mags: np.ndarray, centers: np.ndarray,
                   cfg: DemodConfig, trace: GyroTrace) -> RxReport:
     report = RxReport()
     # 0 only when the f0 magnitude strictly dominates; ties decode as 1
     decisions = mags[:, :, 1] >= mags[:, :, 0]
-    ones_before = np.pad(np.cumsum(decisions, axis=1), ((0, 0), (1, 0)))
-    score, starts, matched = _preamble_scores(ones_before, mags.max(axis=2) ** 2,
-                                              floors, centers, cfg)
+    score, starts, matched = _preamble_scores(
+        _running(decisions), _running(mags.transpose(2, 0, 1) ** 2), centers, cfg)
     fired = np.flatnonzero(score > 0)
     n4 = max(int(round(4 * cfg.windows_per_bit)), 4)
     # a marginal stream can clear the threshold up to a bit early; look one
@@ -326,7 +341,7 @@ def demodulate_stream(trace: GyroTrace, cfg: DemodConfig) -> RxReport:
     n_win = mags.shape[1]
     centers = (np.arange(n_win) * cfg.hop + cfg.fft_size / 2) / DEFAULT_GYRO_RATE
     if cfg.order == 2:
-        return _binary_demod(mags, floors, centers, cfg, trace)
+        return _binary_demod(mags, centers, cfg, trace)
     # matched filtering must see the unsmoothed axes: the smoothing moving
     # average has spectral nulls at multiples of DEFAULT_GYRO_RATE /
     # DEFAULT_SMOOTHING, which can land on the upper tones of a wide M-ary grid

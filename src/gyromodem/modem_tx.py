@@ -4,13 +4,14 @@ from __future__ import annotations
 import math
 import wave
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 from typing import Sequence, Tuple
 
 import numpy as np
 
 from .framing import encode_frame
-from .sigcore import DEFAULT_AUDIO_RATE, FrequencyRangeError, Waveform
+from .sigcore import DEFAULT_AUDIO_RATE, FrequencyRangeError, Waveform, fill_tone
 
 DEFAULT_AMPLITUDE = 0.20  # 20% volume
 DEFAULT_FRAME_GAP = 0.5   # seconds of silence between frames
@@ -76,21 +77,36 @@ def bits_to_symbols(bits: Sequence[int], bits_per_symbol: int) -> Tuple[int, ...
     return tuple(symbols)
 
 
-def modulate(bits: Sequence[int], cfg: FskConfig,
-             sample_rate: int = DEFAULT_AUDIO_RATE) -> Waveform:
-    """Phase-continuous M-FSK synthesis; one tone segment per symbol."""
+def _synthesise(frames: Sequence[Sequence[int]], cfg: FskConfig, gap_len: int,
+                sample_rate: int) -> Waveform:
+    """Frames of symbols, one tone segment per symbol, joined by gap_len
+    samples of silence in one buffer. Within a frame the phase accumulates,
+    which keeps symbol switches click-free; it is carried as an exact
+    Fraction, and each frame's first sample has phase f / sample_rate."""
     nyquist = sample_rate / 2
     if cfg.tone_freqs[-1] >= nyquist:
         raise FrequencyRangeError(
             f"tone {cfg.tone_freqs[-1]} Hz at/above Nyquist ({nyquist} Hz)")
-    symbols = bits_to_symbols(bits, cfg.bits_per_symbol)
-    if not symbols:
-        return Waveform(np.zeros(0), sample_rate)
     seg_len = int(round(cfg.symbol_time * sample_rate))
-    freqs = np.repeat([cfg.tone_freqs[s] for s in symbols], seg_len)
-    # accumulated phase keeps symbol switches click-free
-    phase = 2 * np.pi * np.cumsum(freqs) / sample_rate
-    return Waveform(cfg.amplitude * np.sin(phase), sample_rate)
+    out = np.zeros(sum(len(s) for s in frames) * seg_len
+                   + max(len(frames) - 1, 0) * gap_len)
+    pos = 0
+    for symbols in frames:
+        cycles = Fraction(0)
+        for s in symbols:
+            f = Fraction(cfg.tone_freqs[s]) / sample_rate
+            fill_tone(out[pos:pos + seg_len], cfg.tone_freqs[s], sample_rate,
+                      cycles + f, cfg.amplitude)
+            cycles = (cycles + f * seg_len) % 1
+            pos += seg_len
+        pos += gap_len
+    return Waveform(out, sample_rate)
+
+
+def modulate(bits: Sequence[int], cfg: FskConfig,
+             sample_rate: int = DEFAULT_AUDIO_RATE) -> Waveform:
+    """Phase-continuous M-FSK synthesis; one tone segment per symbol."""
+    return _synthesise([bits_to_symbols(bits, cfg.bits_per_symbol)], cfg, 0, sample_rate)
 
 
 def frame_bits_padded(payload: Sequence[int], cfg: FskConfig) -> list:
@@ -108,15 +124,9 @@ def transmit_frames(payloads: Sequence[Sequence[int]], cfg: FskConfig,
     """Encode each payload into a frame, modulate, and join with silence gaps."""
     if gap < 0:
         raise ValueError("gap must be non-negative")
-    pieces = []
-    silence = np.zeros(int(round(gap * sample_rate)))
-    for i, payload in enumerate(payloads):
-        if i:
-            pieces.append(silence)
-        pieces.append(modulate(frame_bits_padded(payload, cfg), cfg, sample_rate).samples)
-    if not pieces:
-        return Waveform(np.zeros(0), sample_rate)
-    return Waveform(np.concatenate(pieces), sample_rate)
+    frames = [bits_to_symbols(frame_bits_padded(p, cfg), cfg.bits_per_symbol)
+              for p in payloads]
+    return _synthesise(frames, cfg, int(round(gap * sample_rate)), sample_rate)
 
 
 def export_wav(w: Waveform, destination) -> None:

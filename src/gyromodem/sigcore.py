@@ -1,14 +1,16 @@
-"""Core DSP primitives: tone/chirp synthesis, smoothing, the one framing
-rule, and the one tone-SNR core (frame spectra, tone/floor power,
-active-frame dB) that the channel simulator, the receiver and the band sweep
-share.
+"""Core DSP primitives: the one tone synthesiser, chirp synthesis,
+smoothing, the one framing rule, and the one tone-SNR core (frame spectra,
+tone/floor power, active-frame dB) that the channel simulator, the receiver
+and the band sweep share.
 
 Everything here is a pure function over immutable inputs; no global state.
 """
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import MISSING, dataclass, fields, is_dataclass
+from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence, Tuple, Union, get_args, get_origin, get_type_hints
 
@@ -136,6 +138,41 @@ class GyroTrace:
         return cls(t_us=t, data=np.asarray(data, dtype=np.float64), sample_rate=sample_rate)
 
 
+def _cycles(step: Fraction, count: int, start: float = 0.0) -> np.ndarray:
+    """frac(start + i * step) for i < count < 2**27, to about 1e-16 of a
+    cycle. step splits into a 26-bit head, whose products with such i are
+    exact in floating point, and a tail below 2**-26."""
+    head = Fraction(math.floor(step * 2 ** 26), 2 ** 26)
+    i = np.arange(count, dtype=np.float64)
+    x = (i * float(head)) % 1.0 + i * float(step - head) + start
+    return x - np.floor(x)
+
+
+def fill_tone(out: np.ndarray, freq: float, rate: int, start, amplitude: float) -> None:
+    """Write amplitude * sin(2*pi*(start + freq * k / rate)) to out[k] for
+    every k < len(out); start is the phase in cycles (a Fraction keeps a
+    chained phase exact). out must be contiguous.
+
+    Sample k = i * width + j, width about sqrt(n), is sin(row_i + col_j),
+    expanded by the angle-addition rule into one (rows, 2) @ (2, width)
+    product: about 2 * sqrt(n) sines and cosines, and one write per sample.
+    Every row and column phase is reduced modulo one cycle before the 2*pi
+    multiply, so the error does not grow with k."""
+    n = len(out)
+    if n == 0:
+        return
+    width = math.isqrt(n - 1) + 1
+    rows = n // width
+    step = Fraction(freq) / Fraction(rate) % 1
+    row = 2 * np.pi * _cycles(step * width % 1, rows + 1, float(start % 1))
+    col = 2 * np.pi * _cycles(step, width)
+    sin_cos = amplitude * np.stack([np.sin(row), np.cos(row)], axis=1)
+    cos_sin = np.stack([np.cos(col), np.sin(col)])
+    m = rows * width
+    np.matmul(sin_cos[:rows], cos_sin, out=out[:m].reshape(rows, width, copy=False))
+    out[m:] = sin_cos[rows] @ cos_sin[:, :n - m]
+
+
 def generate_sine(freq: float, duration: float, amplitude: float,
                   sample_rate: int = DEFAULT_AUDIO_RATE) -> Waveform:
     """Pure sine starting at phase 0."""
@@ -146,9 +183,9 @@ def generate_sine(freq: float, duration: float, amplitude: float,
         raise ValueError("duration must be positive")
     if not 0.0 <= amplitude <= 1.0:
         raise ValueError("amplitude must be within [0, 1]")
-    n = int(round(duration * sample_rate))
-    t = np.arange(n) / sample_rate
-    return Waveform(amplitude * np.sin(2 * np.pi * freq * t), sample_rate)
+    out = np.empty(int(round(duration * sample_rate)))
+    fill_tone(out, freq, sample_rate, 0, amplitude)
+    return Waveform(out, sample_rate)
 
 
 def generate_chirp(f_start: float, f_end: float, duration: float, amplitude: float,

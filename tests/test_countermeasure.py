@@ -5,7 +5,7 @@ import pytest
 
 from gyromodem import modem_rx, modem_tx
 from gyromodem.channel import ChannelCondition, apply_channel, get_profile, gyro_frequency
-from gyromodem.countermeasure import JammerConfig, jam_waveform, lowpass
+from gyromodem.countermeasure import RAMP_SECONDS, JammerConfig, jam_waveform, lowpass
 from gyromodem.harness import demod_config_for
 from gyromodem.sigcore import Waveform, generate_sine
 
@@ -21,6 +21,34 @@ def steady_gain_db(freq, cutoff, rate=48000):
     out = lowpass(tone, cutoff)
     # skip the transient head before comparing levels
     return 20 * np.log10(rms(out.samples[10000:]) / rms(tone.samples[10000:]))
+
+
+def jam_waveform_reference(cfg, rate=48000):
+    """The former jam_waveform: each burst one np.sin over its own sample
+    times, so its phase starts at 0, then ramped."""
+    rng = np.random.default_rng(cfg.seed)
+    total = int(round(cfg.total_duration * rate))
+    ramp_len = int(round(RAMP_SECONDS * rate))
+    out = np.zeros(total)
+    pos = 0
+    while pos < total:
+        freq = rng.uniform(cfg.f_min, cfg.f_max)
+        duration = cfg.T * (1.0 - rng.uniform(0.0, 1.0))
+        volume = cfg.max_volume * (1.0 - rng.uniform(0.0, 1.0))
+        if cfg.volume is not None:
+            volume = cfg.volume
+        n = min(int(round(duration * rate)), total - pos)
+        if n > 0:
+            tone = volume * np.sin(2 * np.pi * freq * np.arange(n) / rate)
+            r = min(ramp_len, n // 2)
+            if r > 0:
+                edge = 0.5 * (1 - np.cos(np.pi * np.arange(r) / r))
+                tone[:r] *= edge
+                tone[-r:] *= edge[::-1]
+            out[pos:pos + n] = tone
+            pos += n
+        pos += int(round(cfg.T * (1.0 - rng.uniform(0.0, 1.0)) * rate))
+    return out
 
 
 class TestJammerConfig:
@@ -71,6 +99,17 @@ class TestJamWaveform:
                               seed=9, total_duration=8.0, volume=0.2)
         a, b = jam_waveform(base), jam_waveform(pinned)
         assert np.array_equal(a.samples != 0, b.samples != 0)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("volume", [None, 0.2])
+    def test_matches_per_sample_reference(self, seed, volume):
+        # criterion 7's jammer: s10's band, bursts up to 1 s, over 12 s
+        cfg = JammerConfig(f_min=S10.band_lo, f_max=S10.band_hi, T=1.0, max_volume=0.2,
+                           seed=seed, total_duration=12.0, volume=volume)
+        got = jam_waveform(cfg).samples
+        want = jam_waveform_reference(cfg)
+        assert len(got) == len(want)
+        assert np.max(np.abs(got - want)) <= 1e-10
 
 
 class TestLowpass:

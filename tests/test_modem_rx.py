@@ -15,6 +15,7 @@ from gyromodem.framing import FRAME_BITS, SYNC_PATTERN, decode_frame
 from gyromodem.harness import demod_config_for
 from gyromodem.modem_rx import (
     SYNC_AGREEMENT,
+    SYNC_CONTRAST,
     SYNC_ENERGY_GATE,
     DemodConfig,
     RxFrame,
@@ -23,6 +24,7 @@ from gyromodem.modem_rx import (
     _frame_snr,
     _mary_demod,
     _preamble_scores,
+    _running,
     _slot_bits,
     _streams,
     _tone_energies,
@@ -67,6 +69,22 @@ class TestDemodulateStream:
                                   ChannelCondition(noise_rms=0.02, noise_seed=seed))
             report = demodulate_stream(trace, rx)
             total += report.sync_count
+        assert total == 0
+
+    @pytest.mark.parametrize("name", ["s10", "s9", "oneplus7"])
+    def test_quiet_noise_never_syncs(self, name):
+        # one frame's length of silence, plus the pads, at the noise level
+        # where the former median-floor gate let 2/1/0 syncs through on
+        # s10/s9/oneplus7 over these 100 seeds
+        prof = get_profile(name)
+        fsk = modem_tx.bfsk_config(*prof.fsk_pair, 0.7)
+        rx = demod_config_for(prof, fsk)
+        silence = Waveform(np.zeros(int(FRAME_BITS * 0.7 * 48000)), 48000)
+        total = 0
+        for seed in range(100):
+            trace = apply_channel(silence, prof,
+                                  ChannelCondition(noise_rms=1e-3, noise_seed=seed))
+            total += demodulate_stream(trace, rx).sync_count
         assert total == 0
 
     def test_two_frames_in_order(self):
@@ -202,20 +220,14 @@ def synthetic_sync_inputs(flip_per_bit=0):
         if flip_per_bit:
             bad = rng.choice(idx, size=flip_per_bit, replace=False)
             decisions[0, bad] ^= 1
-    floors = np.array([0.001])
     centers = (np.arange(n_win) * cfg.hop + cfg.fft_size / 2) / DEFAULT_GYRO_RATE
-    return decisions, mags, floors, centers, 31, cfg
+    return decisions, mags, centers, 31, cfg
 
 
-def ones_before(decisions):
-    """Running count of windows deciding 1, as _binary_demod builds it."""
-    return np.pad(np.cumsum(decisions, axis=1), ((0, 0), (1, 0)))
-
-
-def preamble_scores(decisions, magnitudes, floors, centers, cfg):
+def preamble_scores(decisions, magnitudes, centers, cfg):
     """_preamble_scores over every end window, fed as _binary_demod feeds it."""
-    return _preamble_scores(ones_before(decisions), magnitudes.max(axis=2) ** 2,
-                            floors, centers, cfg)
+    return _preamble_scores(_running(decisions),
+                            _running(magnitudes.transpose(2, 0, 1) ** 2), centers, cfg)
 
 
 def candidate(scores, end_idx):
@@ -232,10 +244,20 @@ class TestDetectSync:
         assert t0 == pytest.approx(0.128, abs=0.2)
 
     def test_all_zero_not_found(self):
-        decisions, mags, floors, centers, _, cfg = synthetic_sync_inputs()
+        decisions, mags, centers, _, cfg = synthetic_sync_inputs()
         decisions[:] = 0
-        score, _, matched = preamble_scores(decisions, mags, floors, centers, cfg)
+        score, _, matched = preamble_scores(decisions, mags, centers, cfg)
         assert not score.any() and not matched.any()
+
+    def test_weak_contrast_not_found(self):
+        # the windows still decide `1010`, but the tone each slot should
+        # carry holds only 1 / 0.6**2 = 2.8x the other tone's power
+        decisions, mags, centers, _, cfg = synthetic_sync_inputs()
+        mags[mags < 1.0] = 0.6
+        score, _, matched = preamble_scores(decisions, mags, centers, cfg)
+        assert not score.any() and not matched.any()
+        mags[mags < 1.0] = 0.57  # 3.08x
+        assert preamble_scores(decisions, mags, centers, cfg)[0].any()
 
     def test_one_flip_per_bit_still_found(self):
         *args, end, cfg = synthetic_sync_inputs(flip_per_bit=1)
@@ -243,9 +265,9 @@ class TestDetectSync:
         assert streams == [0] and score > 0
 
 
-def sync_candidate_reference(decisions, magnitudes, floors, centers, end_idx, cfg):
+def sync_candidate_reference(decisions, magnitudes, centers, end_idx, cfg):
     """The preamble search at one end window, written stream by stream and
-    slot by slot, with the energy gate's mean taken by np.mean."""
+    slot by slot, with the tone contrast summed window by window."""
     pre_dur = 4 * cfg.bit_time
     t0 = centers[end_idx] - pre_dur + cfg.hop / DEFAULT_GYRO_RATE
     best = (0.0, t0, [])
@@ -253,7 +275,7 @@ def sync_candidate_reference(decisions, magnitudes, floors, centers, end_idx, cf
         cand_t0 = t0 + delta * cfg.hop / DEFAULT_GYRO_RATE
         matched, score_total = [], 0.0
         for s in range(decisions.shape[0]):
-            score, ok = 0.0, True
+            score, ok, on, off = 0.0, True, 0.0, 0.0
             for slot, want in enumerate((1, 0, 1, 0)):
                 lo = cand_t0 + slot * cfg.bit_time
                 idx = np.nonzero((centers >= lo) & (centers < lo + cfg.bit_time))[0]
@@ -266,13 +288,10 @@ def sync_candidate_reference(decisions, magnitudes, floors, centers, end_idx, cf
                     ok = False
                     break
                 score += agree
-            if not ok:
-                continue
-            span = np.nonzero((centers >= cand_t0) & (centers < cand_t0 + pre_dur))[0]
-            p = (magnitudes[s, span].max(axis=1) ** 2).mean()
-            if floors[s] > 0 and p < SYNC_ENERGY_GATE * floors[s]:
-                continue
-            if floors[s] <= 0 and p <= 0:
+                for i in idx:
+                    on += magnitudes[s, i, want] ** 2
+                    off += magnitudes[s, i, 1 - want] ** 2
+            if not ok or on <= 0 or on < SYNC_CONTRAST * off:
                 continue
             matched.append(s)
             score_total += score
@@ -305,15 +324,17 @@ class TestSyncCandidateReference:
         clean = np.where((slot >= 0) & (slot < 4), (slot + 1) % 2,
                          rng.integers(0, 2, n_win))
         decisions = (clean ^ (rng.random((4, n_win)) < flip)).astype(np.int8)
-        # some streams silent, some floors zero, so the gate sees p = 0 over
-        # both a zero and a nonzero floor
-        magnitudes = (rng.uniform(0.0, 1.0, (4, n_win, 2))
-                      * (rng.random((4, 1, 1)) < 0.75))
-        floors = rng.uniform(0.0, 0.15, 4) * rng.integers(0, 2, 4)
-        scores = preamble_scores(decisions, magnitudes, floors, centers, cfg)
+        # each window's decided tone boosted by a per-stream gain, so the
+        # tone contrast passes on some streams and fails on others; some
+        # streams silent, where it sees no power on either tone
+        magnitudes = rng.uniform(0.0, 1.0, (4, n_win, 2))
+        np.put_along_axis(magnitudes, decisions[..., None].astype(np.intp),
+                          magnitudes.max(axis=2, keepdims=True)
+                          * rng.uniform(1.0, 3.0, (4, 1, 1)), axis=2)
+        magnitudes *= rng.random((4, 1, 1)) < 0.75
+        scores = preamble_scores(decisions, magnitudes, centers, cfg)
         for end in range(n_win):
-            want = sync_candidate_reference(decisions, magnitudes, floors,
-                                            centers, end, cfg)
+            want = sync_candidate_reference(decisions, magnitudes, centers, end, cfg)
             score, t0, streams = candidate(scores, end)
             assert (score, streams) == (want[0], want[2])
             if streams:
@@ -360,7 +381,7 @@ def decide_bit_reference(window_symbols, window_magnitudes):
     return max(tied, key=lambda s: sums[s])
 
 
-def binary_demod_reference(mags, floors, centers, cfg, trace):
+def binary_demod_reference(mags, centers, cfg, trace):
     """The B-FSK receiver with a nonzero window mask per payload slot."""
     report = RxReport()
     decisions = (mags[:, :, 1] >= mags[:, :, 0]).astype(np.int8)
@@ -369,14 +390,12 @@ def binary_demod_reference(mags, floors, centers, cfg, trace):
     frame_dur = FRAME_BITS * cfg.bit_time
     k = n4 - 1
     while k < n_win:
-        score, t0, axes = sync_candidate_reference(decisions, mags, floors,
-                                                   centers, k, cfg)
+        score, t0, axes = sync_candidate_reference(decisions, mags, centers, k, cfg)
         if not axes:
             k += 1
             continue
         for k2 in range(k + 1, min(k + 1 + int(np.ceil(cfg.windows_per_bit)), n_win)):
-            s2, t2, a2 = sync_candidate_reference(decisions, mags, floors,
-                                                  centers, k2, cfg)
+            s2, t2, a2 = sync_candidate_reference(decisions, mags, centers, k2, cfg)
             if a2 and s2 > score:
                 score, t0, axes = s2, t2, a2
         report.sync_count += 1
@@ -434,10 +453,9 @@ class TestBinaryDemodReference:
                 idx = np.flatnonzero(slot == s)
                 keep = rng.random((4, len(idx))) < 0.15
                 mags[:, idx, want] = np.where(keep, mags[:, idx, want], 3.0)
-        floors = rng.uniform(0.0, 2.0, 4) * rng.integers(0, 2, 4)
         n = (n_win - 1) * cfg.hop + cfg.fft_size
         trace = GyroTrace.from_axes(rng.standard_normal((n, 3)), DEFAULT_GYRO_RATE)
-        args = (mags, floors, centers, cfg, trace)
+        args = (mags, centers, cfg, trace)
         assert _binary_demod(*args) == binary_demod_reference(*args)
 
 

@@ -1,5 +1,8 @@
 """FSK synthesis and WAV interchange."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -95,6 +98,15 @@ class TestModulate:
         assert in_band / power.sum() >= 0.95
 
 
+def modulate_cumsum_reference(bits, cfg, rate=48000):
+    """The former modulate: one frequency per sample, its phase accumulated
+    as 2*pi*cumsum(freqs)/rate, so a frame's first sample has phase f/rate."""
+    symbols = bits_to_symbols(bits, cfg.bits_per_symbol)
+    seg_len = int(round(cfg.symbol_time * rate))
+    freqs = np.repeat([cfg.tone_freqs[s] for s in symbols], seg_len)
+    return cfg.amplitude * np.sin(2 * np.pi * np.cumsum(freqs) / rate)
+
+
 class TestTransmitFrames:
     def test_single_frame_duration(self):
         w = transmit_frames([(0,) * 12], s10_bfsk(0.7), gap=0.0)
@@ -106,6 +118,43 @@ class TestTransmitFrames:
     def test_two_frames_with_gap(self):
         w = transmit_frames([(0,) * 12, (1,) * 12], s10_bfsk(0.7), gap=0.5)
         assert w.duration == pytest.approx(2 * 17 * 0.7 + 0.5, abs=1e-6)
+
+    def test_mfsk_phase_exact_over_40_frames(self):
+        # the tones of uniform_tones are not whole hertz, so a phase summed
+        # in floating point drifts: the cumsum rule was 2e-5 of full scale
+        # off within one frame
+        cfg = FskConfig(tone_freqs=uniform_tones(19000, 19105, 32), bit_time=0.7)
+        rng = np.random.default_rng(40)
+        payloads = [tuple(rng.integers(0, 2, 12)) for _ in range(40)]
+        w = transmit_frames(payloads, cfg, gap=0.5)
+        seg_len, gap_len = int(round(cfg.symbol_time * 48000)), 24000
+        pos, worst = 0, 0.0
+        for payload in payloads:
+            cycles = Fraction(0)  # each frame starts its phase afresh
+            for s in bits_to_symbols(frame_bits_padded(payload, cfg), 5):
+                f = Fraction(cfg.tone_freqs[s]) / 48000
+                for k in np.r_[0, seg_len - 1, rng.integers(1, seg_len - 1, 30)]:
+                    exact = (cycles + f * int(k + 1)) % 1
+                    want = cfg.amplitude * math.sin(2 * math.pi * float(exact))
+                    worst = max(worst, abs(w.samples[pos + k] - want))
+                cycles += f * seg_len
+                pos += seg_len
+            assert not w.samples[pos:pos + gap_len].any()
+            pos += gap_len
+        assert pos == len(w) + gap_len
+        assert worst <= 1e-13 * cfg.amplitude
+
+    @pytest.mark.parametrize("name", ["s10", "s9", "oneplus7"])
+    @pytest.mark.parametrize("bit_time", [0.7, 0.125])
+    def test_bfsk_matches_cumsum_reference(self, name, bit_time):
+        # whole-hertz tones: the cumsum rule's phase sums exactly and only
+        # the 2*pi multiply rounds, at up to 1.4e6 rad over a frame
+        cfg = bfsk_config(*channel.get_profile(name).fsk_pair, bit_time)
+        bits = frame_bits_padded(tuple(np.random.default_rng(7).integers(0, 2, 12)), cfg)
+        got = modulate(bits, cfg).samples
+        want = modulate_cumsum_reference(bits, cfg)
+        assert len(got) == len(want)
+        assert np.max(np.abs(got - want)) <= 1e-9 * cfg.amplitude
 
 
 class TestSymbolPacking:

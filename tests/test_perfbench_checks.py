@@ -59,3 +59,13 @@ def test_digest_matches_logged(name, seed):
     w, outcomes = digest_run(name, seed)
     assert [o.error for o in outcomes if o.failed] == []
     assert workloads.digest(w.digest_lines(outcomes)) == LOGGED_DIGESTS[name, seed]
+
+
+def test_noise_axis_sync_does_not_fail_op_493():
+    # ber_bfsk_open seed 2, op 493: s10 at 150 cm (20 dB), an error-free
+    # point. With a trace-wide median floor as the gate, a `1010` run of
+    # decisions on the noise-only z stream synced in the lead-in pad, 1.06 s
+    # ahead of the frame, and decoded 4 wrong bits
+    w, _ = digest_run("ber_bfsk_open", 2)
+    outcome = w.op(493)
+    assert not outcome.failed, outcome.error

@@ -1,5 +1,8 @@
 """Signal-core primitives: synthesis, framing, smoothing, bin arithmetic."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +14,7 @@ from gyromodem.sigcore import (
     GyroTrace,
     Waveform,
     bin_index,
+    fill_tone,
     frame_spectra,
     frames,
     generate_chirp,
@@ -24,6 +28,41 @@ from gyromodem.sigcore import (
 def rect_magnitudes(x, fft_size, noverlap=0):
     """Rectangular-window magnitude spectrum of every frame of x."""
     return np.abs(np.fft.rfft(frames(x, fft_size, noverlap), axis=1))
+
+
+def tone_reference(freq, rate, start, amplitude, idx):
+    """amplitude * sin(2*pi*phase) at the sample indices idx, each phase
+    taken exactly as a Fraction and reduced to one cycle before the sine."""
+    f = Fraction(freq) / rate
+    return np.array([amplitude * math.sin(2 * math.pi * float((start + f * int(k)) % 1))
+                     for k in idx])
+
+
+class TestFillTone:
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.one_of(st.integers(1, 500), st.integers(1, 200_000),
+                       st.sampled_from([2, 3, 97, 7919, 33_599, 104_729, 199_999])),
+           freq=st.one_of(st.integers(0, 24_000).map(float), st.floats(0.0, 24_000.0)),
+           rate=st.sampled_from([500, 44_100, 48_000]),
+           start=st.one_of(st.floats(-5.0, 5.0),
+                           st.fractions(0, 3, max_denominator=10 ** 15)),
+           amplitude=st.floats(1e-3, 1.0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_exact_phase(self, n, freq, rate, start, amplitude, seed):
+        buf = np.full(n + 2, 7.0)
+        fill_tone(buf[1:-1], freq, rate, start, amplitude)
+        assert buf[0] == buf[-1] == 7.0
+        # every sample of a short segment; the ends and a random draw of a
+        # long one, whose width does not in general divide it
+        idx = np.arange(n)
+        if n > 2000:
+            rng = np.random.default_rng(seed)
+            idx = np.unique(np.r_[idx[:60], idx[-60:], rng.integers(0, n, 400)])
+        want = tone_reference(freq, rate, Fraction(start), amplitude, idx)
+        np.testing.assert_allclose(buf[1:-1][idx], want, rtol=0, atol=1e-13 * amplitude)
+
+    def test_empty_segment(self):
+        fill_tone(np.empty(0), 19065.0, 48000, 0, 0.2)
 
 
 class TestGenerateSine:
