@@ -25,7 +25,7 @@ from scipy import ndimage
 from scipy import signal as sps
 
 from .countermeasure import lowpass
-from .sigcore import (DEFAULT_GYRO_RATE, TONE_FFT_SIZE, GyroTrace, Waveform,
+from .sigcore import (DEFAULT_GYRO_RATE, TONE_FFT_SIZE, GyroTrace, Waveform, _cycles,
                       _median_inplace, _noise_bins, active_snr_db, bin_index,
                       frame_spectra, from_dict)
 
@@ -186,12 +186,16 @@ def superpose(a: Waveform, b: Waveform) -> Tuple[Waveform, int]:
     if a.sample_rate != b.sample_rate:
         raise ChannelError(
             f"sample-rate mismatch: {a.sample_rate} vs {b.sample_rate}")
-    n = max(len(a), len(b))
-    total = np.zeros(n)
-    total[:len(a)] += a.samples
-    total[:len(b)] += b.samples
-    clipped = int(np.count_nonzero(np.abs(total) > 1.0))
-    return Waveform(np.clip(total, -1.0, 1.0), a.sample_rate), clipped
+    if len(a) < len(b):
+        a, b = b, a
+    m = len(b)
+    total = np.empty(len(a))
+    np.add(a.samples[:m], b.samples, out=total[:m])
+    total[m:] = a.samples[m:]
+    clipped = int(np.count_nonzero(total > 1.0)) + int(np.count_nonzero(total < -1.0))
+    if clipped:
+        np.clip(total, -1.0, 1.0, out=total)
+    return Waveform(total, a.sample_rate), clipped
 
 
 def _complex_shift(x: np.ndarray, freq: float, rate: float) -> np.ndarray:
@@ -223,13 +227,15 @@ def _shifted_lowpass(fs: int, f_center: float):
     row a - k against tap column k. Returns the read-only (down, ncols) tap
     matrix, real and imaginary column of each k side by side; the groups
     (b, k0, nk, col0), whose k = k0 + i reads columns col0 + 2*i and
-    col0 + 2*i + 1; up; down; and resample_poly's leading output skip."""
+    col0 + 2*i + 1; up; down; resample_poly's leading output skip; and the
+    read-only h itself, for _tones_downconvert."""
     ratio = Fraction(DEFAULT_GYRO_RATE, fs)
     up, down = ratio.numerator, ratio.denominator
     half_len = 10 * max(up, down)
     n_pre_pad = down - half_len % down
     h = sps.firwin(2 * half_len + 1, 1.0 / max(up, down), window=("kaiser", 5.0)) * up
     h = np.concatenate([np.zeros(n_pre_pad), h])
+    h.flags.writeable = False
     # phases in whole cycles modulo one, so long inputs keep their precision
     g = h * np.exp(2j * np.pi * (f_center * np.arange(len(h)) % (fs * up)) / (fs * up))
     col = np.arange(down)[:, None]
@@ -248,7 +254,7 @@ def _shifted_lowpass(fs: int, f_center: float):
         col0 += 2 * nk
     taps = np.concatenate(columns, axis=1)
     taps.flags.writeable = False
-    return taps, tuple(groups), up, down, (half_len + n_pre_pad) // down
+    return taps, tuple(groups), up, down, (half_len + n_pre_pad) // down, h
 
 
 def _downconvert(x: np.ndarray, fs: int, f_center: float) -> np.ndarray:
@@ -257,7 +263,7 @@ def _downconvert(x: np.ndarray, fs: int, f_center: float) -> np.ndarray:
     samples, viewed in place, times _shifted_lowpass's tap matrix, then the
     product's columns added at their row shifts. Output p is then
     multiplied by exp(-2*pi*i*f_center*p/gyro rate)."""
-    taps, groups, up, down, skip = _shifted_lowpass(fs, f_center)
+    taps, groups, up, down, skip, _ = _shifted_lowpass(fs, f_center)
     x = np.ascontiguousarray(x, dtype=np.float64)
     n_out = -(-len(x) * up // down)  # resample_poly's length
     full = len(x) // down
@@ -285,6 +291,64 @@ def _downconvert(x: np.ndarray, fs: int, f_center: float) -> np.ndarray:
     return z
 
 
+def _tones_downconvert(w: Waveform, pad: int, f_center: float) -> np.ndarray:
+    """_downconvert of w's samples between pad zeros at each end, in closed
+    form from w's tone segments. The decimator is linear, and a segment
+    A*sin(2*pi*(phi + f*k/fs)) from input sample t0 on is, after the mixer,
+    the sum over sign = +-1 of sign*A/2i * exp(2*pi*i*(sign*(phi - f*t0/fs)
+    + nu*t)) at input sample t, nu = (sign*f - f_center)/fs. Output
+    P = p + skip = up*a + b reads Q = down*a + c of tap branch s, where
+    (c, s) = divmod(b*down, up), as sum_m h[up*m + s] * x[Q - m]. On one
+    segment that is exp(2*pi*i*nu*Q) * (G[hi] - G[lo]): G[k] = sum_{m<k}
+    h[up*m + s] * exp(-2*pi*i*nu*m) is one cumulative sum per tone, sign and
+    branch, and [lo, hi) the taps that overlap the segment."""
+    fs = w.sample_rate
+    _, _, up, down, skip, h = _shifted_lowpass(fs, f_center)
+    n_out = -(-(len(w) + 2 * pad) * up // down)  # resample_poly's length
+    n_taps = -(-len(h) // up)
+    branches = np.pad(h, (0, up * n_taps - len(h))).reshape(n_taps, up).T
+    fc = Fraction(f_center)
+    by_tone = {}
+    for t in w.tones:
+        if t.length and t.amplitude:
+            by_tone.setdefault(t.freq, []).append(t)
+    index, value = [], []
+    for freq, tones in by_tone.items():
+        t0 = pad + np.array([t.start for t in tones])
+        length = np.array([t.length for t in tones])
+        amplitude = np.array([t.amplitude for t in tones])
+        # phi - f*t0/fs in cycles, each term reduced exactly
+        offset = (np.array([float(t.phase % 1) for t in tones])
+                  - _cycles(Fraction(freq) / fs % 1, t0))
+        for sign in (1, -1):
+            nu = (sign * Fraction(freq) - fc) / fs
+            g = np.zeros((up, n_taps + 1), dtype=np.complex128)
+            np.cumsum(branches * np.exp(-2j * np.pi * _cycles(nu % 1, np.arange(n_taps))),
+                      axis=1, out=g[:, 1:])
+            for b in range(up):
+                c, s = divmod(b * down, up)
+                # a from Q = t0 until the last tap passes the segment's end
+                a_lo = np.maximum(-((c - t0) // down), -((b - skip) // up))
+                a_hi = np.minimum(-((c + 1 - t0 - length - n_taps) // down),
+                                  -((b - skip - n_out) // up))
+                count = np.maximum(a_hi - a_lo, 0)
+                seg = np.repeat(np.arange(len(tones)), count)
+                a = np.arange(len(seg)) + np.repeat(a_lo - (np.cumsum(count) - count), count)
+                q = down * a + c - t0[seg]
+                part = (g[s, np.minimum(q + 1, n_taps)]
+                        - g[s, np.clip(q + 1 - length[seg], 0, n_taps)])
+                start = sign * offset + float(nu * c % 1)
+                part *= (sign * amplitude / 2j)[seg] * np.exp(
+                    2j * np.pi * _cycles(nu * down % 1, a, start[seg]))
+                index.append(up * a + b - skip)
+                value.append(part)
+    if not index:
+        return np.zeros(n_out, dtype=np.complex128)
+    index, value = np.concatenate(index), np.concatenate(value)
+    return (np.bincount(index, value.real, n_out)
+            + 1j * np.bincount(index, value.imag, n_out))
+
+
 def _translate(w: Waveform, profile: DeviceProfile) -> np.ndarray:
     """In-band acoustic content -> unit-weight gyro-domain signal (acoustic
     amplitude units; caller scales by response_amplitude and axis weights)."""
@@ -293,11 +357,13 @@ def _translate(w: Waveform, profile: DeviceProfile) -> np.ndarray:
         raise ChannelError(
             f"waveform rate {fs} Hz cannot carry the {profile.band_hi} Hz band")
     pad = int(round(PAD_SECONDS * fs))
-    x = np.concatenate([np.zeros(pad), w.samples, np.zeros(pad)])
-
     f_center = 0.5 * (profile.band_lo + profile.band_hi)
     half_bw = 0.5 * (profile.band_hi - profile.band_lo)
-    z = _downconvert(x, fs, f_center)
+    if w.tones is not None:
+        z = _tones_downconvert(w, pad, f_center)
+    else:
+        z = _downconvert(np.concatenate([np.zeros(pad), w.samples, np.zeros(pad)]),
+                         fs, f_center)
 
     # sharp band selection at the gyro rate: keep [-half_bw, +half_bw]
     z = sps.fftconvolve(z, _lowpass_taps(1001, half_bw + 2.0), mode="same")
@@ -476,9 +542,7 @@ def apply_channel(w: Waveform, profile: DeviceProfile,
         else:
             # a longer jammer lengthens the trace; the sent waveform's
             # silence pads it to match
-            sent = base if received is w else _translate(
-                Waveform(np.pad(w.samples, (0, len(received) - len(w))), w.sample_rate),
-                profile)
+            sent = base if received is w else _translate(w.padded(len(received)), profile)
             sigma = _calibrate_sigma(sent, unit_noise, profile, float(cond.snr_db))
         data = data + sigma * unit_noise
     return GyroTrace.from_axes(data + np.asarray(DEFAULT_AXIS_BIAS)[None, :])

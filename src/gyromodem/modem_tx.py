@@ -11,7 +11,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .framing import encode_frame
-from .sigcore import DEFAULT_AUDIO_RATE, FrequencyRangeError, Waveform, fill_tone
+from .sigcore import DEFAULT_AUDIO_RATE, FrequencyRangeError, ToneSegment, Waveform
 
 DEFAULT_AMPLITUDE = 0.20  # 20% volume
 DEFAULT_FRAME_GAP = 0.5   # seconds of silence between frames
@@ -80,27 +80,25 @@ def bits_to_symbols(bits: Sequence[int], bits_per_symbol: int) -> Tuple[int, ...
 def _synthesise(frames: Sequence[Sequence[int]], cfg: FskConfig, gap_len: int,
                 sample_rate: int) -> Waveform:
     """Frames of symbols, one tone segment per symbol, joined by gap_len
-    samples of silence in one buffer. Within a frame the phase accumulates,
-    which keeps symbol switches click-free; it is carried as an exact
-    Fraction, and each frame's first sample has phase f / sample_rate."""
+    samples of silence, as a tone-segment waveform. Within a frame the phase
+    accumulates, which keeps symbol switches click-free; it is carried as an
+    exact Fraction, and each frame's first sample has phase f / sample_rate."""
     nyquist = sample_rate / 2
     if cfg.tone_freqs[-1] >= nyquist:
         raise FrequencyRangeError(
             f"tone {cfg.tone_freqs[-1]} Hz at/above Nyquist ({nyquist} Hz)")
     seg_len = int(round(cfg.symbol_time * sample_rate))
-    out = np.zeros(sum(len(s) for s in frames) * seg_len
-                   + max(len(frames) - 1, 0) * gap_len)
-    pos = 0
+    tones, pos = [], 0
     for symbols in frames:
         cycles = Fraction(0)
         for s in symbols:
             f = Fraction(cfg.tone_freqs[s]) / sample_rate
-            fill_tone(out[pos:pos + seg_len], cfg.tone_freqs[s], sample_rate,
-                      cycles + f, cfg.amplitude)
+            tones.append(ToneSegment(pos, seg_len, cfg.tone_freqs[s], cycles + f,
+                                     cfg.amplitude))
             cycles = (cycles + f * seg_len) % 1
             pos += seg_len
         pos += gap_len
-    return Waveform(out, sample_rate)
+    return Waveform.from_tones(tones, max(pos - gap_len, 0), sample_rate)
 
 
 def modulate(bits: Sequence[int], cfg: FskConfig,

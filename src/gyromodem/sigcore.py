@@ -12,7 +12,8 @@ import sys
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence, Tuple, Union, get_args, get_origin, get_type_hints
+from typing import (NamedTuple, Optional, Sequence, Tuple, Union, get_args, get_origin,
+                    get_type_hints)
 
 import numpy as np
 
@@ -82,28 +83,97 @@ def _typed_value(name: str, kind, value):
     raise ConfigError(f"{name} must be {expected}, got {value!r}")
 
 
-@dataclass(frozen=True)
+class ToneSegment(NamedTuple):
+    """amplitude * sin(2*pi*(phase + freq * k / rate)) on the samples
+    start + k, k < length; phase is in cycles, an exact Fraction."""
+
+    start: int
+    length: int
+    freq: float
+    phase: Fraction
+    amplitude: float
+
+
 class Waveform:
-    """Mono audio buffer. Samples are amplitudes in [-1, +1]."""
+    """Mono audio. Samples are amplitudes in [-1, +1].
 
-    samples: np.ndarray
-    sample_rate: int = DEFAULT_AUDIO_RATE
+    A waveform made by from_tones keeps its tone segments as `tones` and
+    synthesises `samples` with fill_tone the first time they are read,
+    keeping them read-only; len and duration need no samples. Any other
+    waveform has tones None."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "samples", np.asarray(self.samples, dtype=np.float64))
-        if self.sample_rate <= 0:
-            raise ConfigError(f"sample_rate must be positive, got {self.sample_rate}")
+    __slots__ = ("_samples", "_length", "_rate", "_tones")
+
+    def __init__(self, samples, sample_rate: int = DEFAULT_AUDIO_RATE):
+        s = np.asarray(samples, dtype=np.float64)
+        _check_rate(sample_rate)
         # np.max and np.min propagate NaN, and NaN fails the comparison
-        s = self.samples
         if s.size and not (np.max(s) <= 1.0 + 1e-9 and np.min(s) >= -1.0 - 1e-9):
             raise ValueError("waveform samples must be finite and within [-1, +1]")
+        self._samples, self._length, self._rate, self._tones = s, len(s), sample_rate, None
+
+    @classmethod
+    def from_tones(cls, tones: Sequence[ToneSegment], length: int,
+                   sample_rate: int = DEFAULT_AUDIO_RATE) -> "Waveform":
+        """length samples of silence carrying the tone segments, which must
+        be in order, must not overlap and must lie inside it. Each segment's
+        frequency must be finite and its amplitude in [0, 1], so the samples
+        are within [-1, +1]."""
+        _check_rate(sample_rate)
+        tones = tuple(ToneSegment(*t) for t in tones)
+        end = 0
+        for i, t in enumerate(tones):
+            if not math.isfinite(t.freq):
+                raise ValueError(f"tone segment {i}: frequency must be finite, got {t.freq}")
+            if not 0.0 <= t.amplitude <= 1.0:
+                raise ValueError(f"tone segment {i}: amplitude must be finite and "
+                                 f"within [0, 1], got {t.amplitude}")
+            if not (isinstance(t.phase, Fraction) and t.length >= 0 and t.start >= end):
+                raise ValueError(f"tone segment {i}: needs a Fraction phase, a length >= 0 "
+                                 f"and a start at or after sample {end}, got {t}")
+            end = t.start + t.length
+        if end > length:
+            raise ValueError(f"tone segments end at sample {end}, past the length {length}")
+        w = object.__new__(cls)
+        w._samples, w._length, w._rate, w._tones = None, length, sample_rate, tones
+        return w
+
+    @property
+    def samples(self) -> np.ndarray:
+        if self._samples is None:
+            out = np.zeros(self._length)
+            for t in self._tones:
+                fill_tone(out[t.start:t.start + t.length], t.freq, self._rate, t.phase,
+                          t.amplitude)
+            out.flags.writeable = False
+            self._samples = out
+        return self._samples
+
+    @property
+    def sample_rate(self) -> int:
+        return self._rate
+
+    @property
+    def tones(self) -> Optional[Tuple[ToneSegment, ...]]:
+        return self._tones
+
+    def padded(self, length: int) -> "Waveform":
+        """This waveform followed by silence up to length samples."""
+        if self._tones is not None:
+            return Waveform.from_tones(self._tones, length, self._rate)
+        return Waveform(np.pad(self.samples, (0, length - self._length)), self._rate)
 
     def __len__(self):
-        return len(self.samples)
+        return self._length
 
     @property
     def duration(self) -> float:
-        return len(self.samples) / self.sample_rate
+        return self._length / self._rate
+
+
+def _check_rate(sample_rate) -> None:
+    if sample_rate <= 0:
+        raise ConfigError(f"sample_rate must be positive, got {sample_rate}")
 
 
 @dataclass(frozen=True)
@@ -138,12 +208,13 @@ class GyroTrace:
         return cls(t_us=t, data=np.asarray(data, dtype=np.float64), sample_rate=sample_rate)
 
 
-def _cycles(step: Fraction, count: int, start: float = 0.0) -> np.ndarray:
-    """frac(start + i * step) for i < count < 2**27, to about 1e-16 of a
-    cycle. step splits into a 26-bit head, whose products with such i are
-    exact in floating point, and a tail below 2**-26."""
+def _cycles(step: Fraction, index, start=0.0) -> np.ndarray:
+    """frac(start + i * step) for each integer i of index, 0 <= i < 2**27,
+    to about 1e-16 of a cycle; start is a float or an array shaped like
+    index, and 0 <= step < 1. step splits into a 26-bit head, whose products
+    with such i are exact in floating point, and a tail below 2**-26."""
     head = Fraction(math.floor(step * 2 ** 26), 2 ** 26)
-    i = np.arange(count, dtype=np.float64)
+    i = np.asarray(index, dtype=np.float64)
     x = (i * float(head)) % 1.0 + i * float(step - head) + start
     return x - np.floor(x)
 
@@ -164,8 +235,8 @@ def fill_tone(out: np.ndarray, freq: float, rate: int, start, amplitude: float) 
     width = math.isqrt(n - 1) + 1
     rows = n // width
     step = Fraction(freq) / Fraction(rate) % 1
-    row = 2 * np.pi * _cycles(step * width % 1, rows + 1, float(start % 1))
-    col = 2 * np.pi * _cycles(step, width)
+    row = 2 * np.pi * _cycles(step * width % 1, np.arange(rows + 1), float(start % 1))
+    col = 2 * np.pi * _cycles(step, np.arange(width))
     sin_cos = amplitude * np.stack([np.sin(row), np.cos(row)], axis=1)
     cos_sin = np.stack([np.cos(col), np.sin(col)])
     m = rows * width
@@ -175,17 +246,14 @@ def fill_tone(out: np.ndarray, freq: float, rate: int, start, amplitude: float) 
 
 def generate_sine(freq: float, duration: float, amplitude: float,
                   sample_rate: int = DEFAULT_AUDIO_RATE) -> Waveform:
-    """Pure sine starting at phase 0."""
+    """Pure sine starting at phase 0: one tone segment."""
     if not 0 <= freq < sample_rate / 2:
         raise FrequencyRangeError(
             f"frequency {freq} Hz outside [0, {sample_rate / 2}) at {sample_rate} Hz")
     if duration <= 0:
         raise ValueError("duration must be positive")
-    if not 0.0 <= amplitude <= 1.0:
-        raise ValueError("amplitude must be within [0, 1]")
-    out = np.empty(int(round(duration * sample_rate)))
-    fill_tone(out, freq, sample_rate, 0, amplitude)
-    return Waveform(out, sample_rate)
+    n = int(round(duration * sample_rate))
+    return Waveform.from_tones([(0, n, freq, Fraction(0), amplitude)], n, sample_rate)
 
 
 def generate_chirp(f_start: float, f_end: float, duration: float, amplitude: float,

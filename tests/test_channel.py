@@ -33,6 +33,7 @@ from gyromodem.channel import (
     _lowpass_taps,
     _saturate,
     _shaped_noise,
+    _tones_downconvert,
     _translate,
     apply_channel,
     distance_to_snr,
@@ -46,8 +47,8 @@ from gyromodem.channel import (
 )
 from gyromodem.countermeasure import JammerConfig, jam_waveform
 from gyromodem.harness import demod_config_for
-from gyromodem.sigcore import (DEFAULT_GYRO_RATE, TONE_FFT_SIZE, ConfigError, Waveform,
-                               _noise_bins, active_snr_db, bin_index, frame_spectra,
+from gyromodem.sigcore import (DEFAULT_GYRO_RATE, TONE_FFT_SIZE, ConfigError, ToneSegment,
+                               Waveform, _noise_bins, active_snr_db, bin_index, frame_spectra,
                                frames, generate_chirp, generate_sine, tone_power)
 
 S10 = get_profile("s10")
@@ -570,6 +571,85 @@ class TestTranslateAccuracy:
             tracemalloc.stop()
         padded_bytes = 8 * (len(w) + 2 * int(round(PAD_SECONDS * w.sample_rate)))
         assert peak <= 2 * padded_bytes
+
+
+# the closed form must reproduce _downconvert on the synthesised samples
+CLOSED_FORM_RTOL = 1e-12
+
+
+def padded_downconvert(w, pad, f_center):
+    x = np.concatenate([np.zeros(pad), w.samples, np.zeros(pad)])
+    return _downconvert(x, w.sample_rate, f_center)
+
+
+def frames_of_order(profile, order, rate, n_frames):
+    """n_frames random frames of order-ary FSK with 0.5 s gaps: the profile's
+    pair for B-FSK, uniform_tones over its band (not whole hertz) above."""
+    tones = (profile.fsk_pair if order == 2
+             else modem_tx.uniform_tones(profile.band_lo, profile.band_hi, order))
+    fsk = modem_tx.FskConfig(tone_freqs=tones, bit_time=0.7)
+    rng = np.random.default_rng(order * n_frames)
+    payloads = [tuple(int(b) for b in rng.integers(0, 2, 12)) for _ in range(n_frames)]
+    return modem_tx.transmit_frames(payloads, fsk, gap=0.5, sample_rate=rate)
+
+
+class TestClosedForm:
+    @pytest.mark.parametrize("n_frames", [1, 3])
+    @pytest.mark.parametrize("rate", [48000, 44100])
+    @pytest.mark.parametrize("order", [2, 4, 8, 16, 32])
+    @pytest.mark.parametrize("name", sorted(BUILTIN_PROFILES))
+    def test_matches_downconvert(self, name, order, rate, n_frames):
+        profile = BUILTIN_PROFILES[name]
+        w = frames_of_order(profile, order, rate, n_frames)
+        pad = int(round(PAD_SECONDS * rate))
+        f_center = 0.5 * (profile.band_lo + profile.band_hi)
+        ref = padded_downconvert(w, pad, f_center)
+        got = _tones_downconvert(w, pad, f_center)
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= CLOSED_FORM_RTOL * np.max(np.abs(ref))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), rate=st.sampled_from([48000, 44100]),
+           pad=st.sampled_from([0, 1, 57600]),
+           f_center=st.integers(37800, 40600).map(lambda k: k / 2))
+    def test_segments_of_any_length(self, data, rate, pad, f_center):
+        # from one sample to several lengths of the 1,921-tap filter, silent
+        # segments, tones inside and around the decimator's passband (not
+        # whole hertz), and segments flush with either end of the trace. The
+        # centre is a half hertz, as every profile's is: _downconvert's
+        # products f_center * index are exact only for so short a mantissa
+        lengths = data.draw(st.lists(st.integers(1, 40) | st.integers(1, 8000),
+                                     min_size=1, max_size=6))
+        gaps = data.draw(st.lists(st.just(0) | st.integers(1, 3000),
+                                  min_size=len(lengths) + 1, max_size=len(lengths) + 1))
+        tones, pos = [], gaps[0]
+        for length, gap in zip(lengths, gaps[1:]):
+            freq = data.draw(st.floats(f_center - 240.0, f_center + 240.0))
+            phase = Fraction(data.draw(st.integers(0, 2 ** 40)), 2 ** 20)
+            amplitude = data.draw(st.sampled_from([0.0, 1.0]) | st.floats(1e-3, 1.0))
+            tones.append(ToneSegment(pos, length, freq, phase, amplitude))
+            pos += length + gap
+        w = Waveform.from_tones(tones, pos, rate)
+        ref = padded_downconvert(w, pad, f_center)
+        got = _tones_downconvert(w, pad, f_center)
+        assert got.shape == ref.shape
+        # against the largest amplitude, not the output's peak: a segment of
+        # one sample at phase 0 is silence that the closed form sums from
+        # two exponentials of amplitude A/2
+        scale = max(np.max(np.abs(ref)), max(t.amplitude for t in tones))
+        assert np.max(np.abs(got - ref)) <= CLOSED_FORM_RTOL * scale
+
+    def test_translate_takes_closed_form_for_records_only(self, monkeypatch):
+        w = payload_frame("oneplus7")
+        profile = get_profile("oneplus7")
+        calls = []
+        monkeypatch.setattr(channel, "_downconvert",
+                            lambda *args: calls.append(args) or _downconvert(*args))
+        got = _translate(w, profile)
+        assert calls == []
+        ref = _translate(Waveform(w.samples, w.sample_rate), profile)
+        assert len(calls) == 1
+        assert np.max(np.abs(got - ref)) <= CLOSED_FORM_RTOL * np.max(np.abs(ref))
 
 
 class TestLowpassTaps:

@@ -8,7 +8,7 @@ import typing
 import numpy as np
 import pytest
 
-from gyromodem import modem_rx, modem_tx
+from gyromodem import channel, framing, modem_rx, modem_tx, sigcore
 from gyromodem.channel import (ChannelCondition, DeviceProfile, apply_channel, get_profile,
                                load_profile)
 from gyromodem.countermeasure import JammerConfig
@@ -198,6 +198,42 @@ class TestRunBerExperiment:
         lines = path.read_text().splitlines()
         assert lines[0] == "distance_cm,snr_db,ber_fraction,frame_loss_fraction"
         assert len(lines) == 2
+
+
+class TestRunPointAudio:
+    """A frame with neither defence reaches the gyro rate in closed form from
+    its tone segments: no 48 kHz sample is synthesised or decimated. A jammed
+    frame sums real audio, so it still does both."""
+
+    def counters(self, monkeypatch):
+        calls = {"fill_tone": 0, "_downconvert": 0}
+        for module, name in ((sigcore, "fill_tone"), (channel, "_downconvert")):
+            def counted(*args, _real=getattr(module, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(module, name, counted)
+        return calls
+
+    def link(self):
+        prof = get_profile("s10")
+        fsk = modem_tx.bfsk_config(*prof.fsk_pair, 0.7)
+        return prof, fsk, demod_config_for(prof, fsk)
+
+    def test_plain_frame_builds_no_audio(self, monkeypatch):
+        calls = self.counters(monkeypatch)
+        row = run_point(*self.link(), snr_db=20.0, n_frames=1, seed=1, point_index=0)
+        assert calls == {"fill_tone": 0, "_downconvert": 0}
+        assert row.frames_synced == 1 and row.ber == 0.0
+
+    def test_jammed_frame_builds_its_audio(self, monkeypatch):
+        calls = self.counters(monkeypatch)
+        prof, fsk, rx = self.link()
+        jammer = JammerConfig(f_min=prof.band_lo, f_max=prof.band_hi, volume=0.2)
+        run_point(prof, fsk, rx, snr_db=30.0, n_frames=1, seed=1, point_index=0,
+                  jammer=jammer)
+        # one fill_tone call per symbol of the sent frame, one decimation of
+        # the received sum; the sent frame's own noise reference stays closed
+        assert calls == {"fill_tone": framing.FRAME_BITS, "_downconvert": 1}
 
 
 class TestPipelineComposition:

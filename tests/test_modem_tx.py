@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from gyromodem import channel
+from gyromodem import channel, sigcore
 from gyromodem.modem_tx import (
     FskConfig,
     bfsk_config,
@@ -21,7 +21,7 @@ from gyromodem.modem_tx import (
     transmit_frames,
     uniform_tones,
 )
-from gyromodem.sigcore import Waveform, frames
+from gyromodem.sigcore import ToneSegment, Waveform, fill_tone, frames
 
 S10 = channel.get_profile("s10")
 
@@ -155,6 +155,72 @@ class TestTransmitFrames:
         want = modulate_cumsum_reference(bits, cfg)
         assert len(got) == len(want)
         assert np.max(np.abs(got - want)) <= 1e-9 * cfg.amplitude
+
+
+def synthesise_reference(frames, cfg, gap_len, rate):
+    """The former _synthesise: one fill_tone call per symbol, straight into
+    one zeroed buffer of frames and gaps."""
+    seg_len = int(round(cfg.symbol_time * rate))
+    out = np.zeros(sum(len(s) for s in frames) * seg_len
+                   + max(len(frames) - 1, 0) * gap_len)
+    pos = 0
+    for symbols in frames:
+        cycles = Fraction(0)
+        for s in symbols:
+            f = Fraction(cfg.tone_freqs[s]) / rate
+            fill_tone(out[pos:pos + seg_len], cfg.tone_freqs[s], rate, cycles + f,
+                      cfg.amplitude)
+            cycles = (cycles + f * seg_len) % 1
+            pos += seg_len
+        pos += gap_len
+    return Waveform(out, rate)
+
+
+class TestToneRecord:
+    @pytest.mark.parametrize("order,rate,n_frames,gap", [
+        (2, 48000, 1, 0.0), (2, 48000, 3, 0.5), (2, 44100, 2, 0.25),
+        (4, 48000, 2, 0.5), (32, 48000, 3, 0.5), (32, 44100, 1, 0.0)])
+    def test_samples_match_buffer_reference(self, monkeypatch, order, rate, n_frames, gap):
+        tones = S10.fsk_pair if order == 2 else uniform_tones(19000, 19105, order)
+        cfg = FskConfig(tone_freqs=tones, bit_time=0.35)
+        rng = np.random.default_rng(order + n_frames)
+        payloads = [tuple(rng.integers(0, 2, 12)) for _ in range(n_frames)]
+        frames = [bits_to_symbols(frame_bits_padded(p, cfg), cfg.bits_per_symbol)
+                  for p in payloads]
+        ref = synthesise_reference(frames, cfg, int(round(gap * rate)), rate)
+        calls = []
+        monkeypatch.setattr(sigcore, "fill_tone",
+                            lambda *args: calls.append(args) or fill_tone(*args))
+        w = transmit_frames(payloads, cfg, gap=gap, sample_rate=rate)
+        assert len(w.tones) == sum(len(f) for f in frames)
+        # len and duration come from the record, with no synthesis
+        assert (len(w), w.duration, calls) == (len(ref), ref.duration, [])
+        assert w.samples.tobytes() == ref.samples.tobytes()
+        assert len(calls) == len(w.tones)
+        assert w.samples is w.samples and not w.samples.flags.writeable
+
+    @pytest.mark.parametrize("field,bad", [
+        ("freq", math.nan), ("freq", math.inf), ("amplitude", math.nan),
+        ("amplitude", math.inf), ("amplitude", -0.1), ("amplitude", 1.5)])
+    def test_bad_segment_rejected(self, field, bad):
+        segment = ToneSegment(0, 10, 19065.0, Fraction(0), 0.2)._replace(**{field: bad})
+        with pytest.raises(ValueError, match=field.replace("freq", "frequency")):
+            Waveform.from_tones([segment], 10, 48000)
+
+    @pytest.mark.parametrize("segments,length", [
+        ([(0, 10, 19065.0, Fraction(0), 0.2), (5, 10, 19077.0, Fraction(0), 0.2)], 20),
+        ([(0, 10, 19065.0, Fraction(0), 0.2)], 9),
+        ([(0, 10, 19065.0, 0.25, 0.2)], 10)],
+        ids=["overlap", "past-end", "float-phase"])
+    def test_bad_layout_rejected(self, segments, length):
+        with pytest.raises(ValueError, match="tone segment"):
+            Waveform.from_tones(segments, length, 48000)
+
+    def test_padded_keeps_the_record(self):
+        w = transmit_frames([(1,) * 12], s10_bfsk(0.35), gap=0.0)
+        longer = w.padded(len(w) + 1000)
+        assert longer.tones == w.tones and len(longer) == len(w) + 1000
+        assert longer.samples.tobytes() == np.pad(w.samples, (0, 1000)).tobytes()
 
 
 class TestSymbolPacking:

@@ -12,6 +12,7 @@ from gyromodem.sigcore import (
     ConfigError,
     FrequencyRangeError,
     GyroTrace,
+    ToneSegment,
     Waveform,
     bin_index,
     fill_tone,
@@ -86,6 +87,18 @@ class TestGenerateSine:
     def test_nyquist_rejected(self):
         with pytest.raises(FrequencyRangeError):
             generate_sine(24000.0, 0.1, 0.5, 48000)
+
+    def test_one_tone_segment(self):
+        w = generate_sine(19065.5, 0.5, 0.2, 48000)
+        assert w.tones == (ToneSegment(0, 24000, 19065.5, Fraction(0), 0.2),)
+        buf = np.empty(24000)
+        fill_tone(buf, 19065.5, 48000, 0, 0.2)
+        assert w.samples.tobytes() == buf.tobytes()
+
+    @pytest.mark.parametrize("bad", [-0.1, 1.5, math.nan])
+    def test_amplitude_outside_full_scale_rejected(self, bad):
+        with pytest.raises(ValueError, match="amplitude"):
+            generate_sine(19065.0, 0.1, bad, 48000)
 
 
 class TestGenerateChirp:
